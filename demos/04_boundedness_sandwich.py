@@ -6,7 +6,7 @@
 # magnitude profile).  A seeded sampling oracle corroborates from below.
 
 from mixedop import (
-    criterion_general,
+    criterion_general_result,
     exact_norm_decoupled,
     kappa,
     oracle_norm_sampling,
@@ -30,7 +30,7 @@ print("\n17^(1/4) =", 17 ** 0.25)
 # Sufficiency in action: no random section beats the criterion.
 ratios = section_ratios(ker, 4, 2, n_sections=200, seed=1)
 print("max ||Mf||/||f|| over 200 random sections:", ratios.max(),
-      "criterion:", criterion_general(ker, 4, 2))
+      "criterion:", criterion_general_result(ker, 4, 2).value)
 
 # The necessity gap: on multi-dimensional fibers the criterion can
 # exceed the true norm, because it lets every kernel pick its own best

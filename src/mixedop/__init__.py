@@ -14,9 +14,7 @@ from .boundedness import (
     BoundednessReport,
     PhiValue,
     UniformBoundsCriterion,
-    criterion_general,
     criterion_general_result,
-    criterion_graph,
     criterion_graph_result,
     criterion_uniform_bounds,
     criterion_uniform_t,
@@ -55,7 +53,6 @@ from .fibers import (
 from .kernels import (
     EXACT,
     LOWER_BOUND,
-    Exponents,
     NormResult,
     OperatorKernel,
     apply_mixed,

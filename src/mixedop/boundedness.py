@@ -87,21 +87,6 @@ class BoundednessReport:
     lower_certificate: str
     upper_certificate: str
 
-    def to_record(self, instance_id: str = "") -> dict:
-        """Flat record for CSV/JSON serialization."""
-        return {
-            "instance": instance_id,
-            "p": self.p,
-            "q": self.q,
-            "kappa": self.kappa,
-            "lower": self.lower,
-            "upper": self.upper,
-            "oracle": self.oracle,
-            "equality": self.equality,
-            "lower_certificate": self.lower_certificate,
-            "upper_certificate": self.upper_certificate,
-        }
-
 
 @dataclass(frozen=True)
 class UniformBoundsCriterion:
@@ -125,8 +110,13 @@ class UniformBoundsCriterion:
 # ---------------------------------------------------------------------------
 
 def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
-    """Criterion norm with certificate: the mixed aggregate of
-    ||P(s,t)|| J^(1/q) — outer L^kappa over T, inner q-sum over F_t."""
+    """Boundedness criterion for a general absolutely continuous relation.
+
+    ( sum_t mu_t ( sum_{s in F_t} nu_s ||P(s,t)||^q J(s,t) )^(kappa/q) )^(1/kappa),
+    which on atoms reduces the inner sum to (1/mu_t) sum_s lam_st ||P||^q;
+    for p = q the outer aggregate is the max over atoms.  Exact when
+    every matrix norm is.
+    """
     p, q, k = _finite_pair(p, q)
     T = kernel.relation.target
     aggs = [pointwise_norm_aggregate(kernel, t, q) for t in T.ids]
@@ -134,16 +124,6 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     value = lp_measure_norm(inner, T.weights, k)
     cert = EXACT if all(a.certificate == EXACT for a in aggs) else LOWER_BOUND
     return NormResult(value, cert)
-
-
-def criterion_general(kernel: OperatorKernel, p, q) -> float:
-    """Boundedness criterion for a general absolutely continuous relation.
-
-    ( sum_t mu_t ( sum_{s in F_t} nu_s ||P(s,t)||^q J(s,t) )^(kappa/q) )^(1/kappa),
-    which on atoms reduces the inner sum to (1/mu_t) sum_s lam_st ||P||^q;
-    for p = q the outer aggregate is the max over atoms.
-    """
-    return criterion_general_result(kernel, p, q).value
 
 
 def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q, tol: float = 1e-9) -> float:
@@ -182,6 +162,14 @@ def _require_graph(kernel: OperatorKernel, psi: AtomMap) -> None:
 
 
 def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormResult:
+    """Criterion on the graph of an injective mapping.
+
+    ||  ||P(psi^-1(t), t)|| J^(1/q)(t)  ||_{L^kappa(T)} with J the
+    marginal density of the graph measure; atoms outside the image
+    contribute zero.  With identity data and p = q this recovers the
+    classical decomposable-operator condition (the ess-sup of the
+    fiber norms).
+    """
     p, q, k = _finite_pair(p, q)
     if not psi.is_injective:
         raise NotInjectiveError("graph criterion requires an injective mapping")
@@ -204,18 +192,6 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
     return NormResult(value, cert)
 
 
-def criterion_graph(kernel: OperatorKernel, psi: AtomMap, p, q) -> float:
-    """Criterion on the graph of an injective mapping.
-
-    ||  ||P(psi^-1(t), t)|| J^(1/q)(t)  ||_{L^kappa(T)} with J the
-    marginal density of the graph measure; atoms outside the image
-    contribute zero.  With identity data and p = q this recovers the
-    classical decomposable-operator condition (the ess-sup of the
-    fiber norms).
-    """
-    return criterion_graph_result(kernel, psi, p, q).value
-
-
 def criterion_uniform_bounds(
     kernel: OperatorKernel, psi: AtomMap, c: float, C: float, p, q, tol: float = 1e-9
 ) -> UniformBoundsCriterion:
@@ -229,11 +205,8 @@ def criterion_uniform_bounds(
     p, q, k = _finite_pair(p, q)
     if not (0 < c <= C):
         raise ValueError(f"need 0 < c <= C, got c={c}, C={C}")
+    _require_graph(kernel, psi)
     rel = kernel.relation
-    if set(psi.source.ids) != set(rel.source.ids) or set(psi.target.ids) != set(rel.target.ids):
-        raise UnknownAtomError("psi must map the relation's source atoms into its target atoms")
-    if set(rel.pairs) != {(s, psi(s)) for s in rel.source.ids}:
-        raise HypothesisViolationError("the kernel's relation is not the graph of psi")
     for s in rel.source.ids:
         lam = rel.weight(s, psi(s))
         nu_s = rel.source.weight(s)

@@ -12,7 +12,8 @@ inputs with the same seed produce byte-identical files (wall times are
 written as 0 unless --timing is passed).
 
 Flags may also be set through environment variables prefixed with the
-tool name: MIXEDOP_SEED, MIXEDOP_SAMPLES, MIXEDOP_OUT, MIXEDOP_TOLERANCE.
+tool name: MIXEDOP_SEED, MIXEDOP_SAMPLES, MIXEDOP_OUT, MIXEDOP_TOLERANCE
+(run and phi-audit only); a value that does not parse is an input error.
 """
 
 from __future__ import annotations
@@ -319,8 +320,18 @@ def phi_audit(
     return _finish(rows, sc.id, timing, out_path)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
+def _setting(flag, name: str, convert, default=None):
+    """A flag's value, else the environment variable MIXEDOP_<name>
+    converted, else ``default``."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(ENV_PREFIX + name)
+    if not text:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise ScenarioError(f"{ENV_PREFIX}{name}: bad value {text!r}") from None
 
 
 def _grid(text: str, where: str) -> list[float]:
@@ -353,7 +364,6 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
         sp.add_argument("--seed", type=int, default=None, help="override check seeds")
         sp.add_argument("--samples", type=int, default=None, help="override oracle sample counts")
-        sp.add_argument("--tolerance", type=float, default=None, help="assertion tolerance")
         sp.add_argument("--timing", action="store_true", help="record wall times (breaks byte-determinism)")
 
     sp_run = sub.add_parser("run", help="execute every check in the scenario")
@@ -368,20 +378,15 @@ def main(argv: list[str] | None = None) -> int:
     add_common(sp_audit)
     sp_audit.add_argument("--partitions", type=int, default=50, help="random partitions per pair")
 
+    for sp in (sp_run, sp_audit):
+        sp.add_argument("--tolerance", type=float, default=None, help="assertion tolerance")
+
     args = parser.parse_args(argv)
 
-    seed = args.seed if args.seed is not None else (int(_env("SEED")) if _env("SEED") else None)
-    samples = args.samples if args.samples is not None else (
-        int(_env("SAMPLES")) if _env("SAMPLES") else None
-    )
-    out = args.out if args.out is not None else _env("OUT")
-    tolerance = args.tolerance if args.tolerance is not None else (
-        float(_env("TOLERANCE")) if _env("TOLERANCE") else DEFAULT_TOLERANCE
-    )
-
     try:
-        if args.verb == "run":
-            return run(args.scenario, out, seed, samples, tolerance, args.timing)
+        seed = _setting(args.seed, "SEED", int)
+        samples = _setting(args.samples, "SAMPLES", int)
+        out = _setting(args.out, "OUT", str)
         if args.verb == "sweep":
             return sweep(
                 args.scenario,
@@ -392,9 +397,10 @@ def main(argv: list[str] | None = None) -> int:
                 samples,
                 args.timing,
             )
-        if args.verb == "phi-audit":
-            return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
-        parser.error(f"unknown verb {args.verb!r}")
+        tolerance = _setting(args.tolerance, "TOLERANCE", float, DEFAULT_TOLERANCE)
+        if args.verb == "run":
+            return run(args.scenario, out, seed, samples, tolerance, args.timing)
+        return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
     except ScenarioError as e:
         print(f"mixedop: input error: {e}", file=sys.stderr)
         return 1
@@ -404,7 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     except MixedOpError as e:
         print(f"mixedop: error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fibers import INF, FiberFamily, NormSpec, Section, scalar_family
+from .fibers import INF, FiberFamily, NormSpec, scalar_family
 from .kernels import OperatorKernel
 from .measure import AtomMap, DensityFn, FiniteMeasureSpace, WeightedRelation, graph_relation
 from .mixedcomp import MixedDomain, SplitMapping
@@ -89,14 +89,6 @@ def random_kernel(
             (codomain_family.dim(s), domain_family.dim(t))
         )
     return OperatorKernel(relation, domain_family, codomain_family, mats)
-
-
-def random_section(family: FiberFamily, seed: int) -> Section:
-    values = {}
-    for i, atom in enumerate(family.base.ids):
-        g = _stream(seed, 5, i)
-        values[atom] = g.standard_normal(family.dim(atom))
-    return Section(values)
 
 
 def random_density(

@@ -71,23 +71,6 @@ def kappa(p, q) -> float:
 
 
 @dataclass(frozen=True)
-class Exponents:
-    """A validated source/target exponent pair with its derived kappa."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", check_exponent(self.p))
-        object.__setattr__(self, "q", check_exponent(self.q))
-        kappa(self.p, self.q)
-
-    @property
-    def kappa(self) -> float:
-        return kappa(self.p, self.q)
-
-
-@dataclass(frozen=True)
 class NormResult:
     """A norm value together with how it was obtained.
 
@@ -139,6 +122,8 @@ class OperatorKernel:
                 raise DimensionMismatchError(
                     f"matrix at ({s!r}, {t!r}) has shape {a.shape}, expected {want}"
                 )
+            if not np.isfinite(a).all():
+                raise ValueError(f"matrix at ({s!r}, {t!r}) has a non-finite entry")
             a.flags.writeable = False
             mats[(s, t)] = a
         self.relation = relation
@@ -280,33 +265,42 @@ def _normalize_columns(X: np.ndarray, a: float) -> np.ndarray:
     return X / n
 
 
-def _induced_norm_ascent(
-    B: np.ndarray,
+def _ascent(
+    Bs: list[np.ndarray],
+    bs: list[float],
+    lams: np.ndarray,
     a: float,
-    b: float,
+    q: float,
     starts: int = ASCENT_STARTS,
     iterations: int = ASCENT_ITERATIONS,
     tol: float = ASCENT_TOL,
 ) -> float:
-    """Multistart fixed-point ascent for the unweighted a -> b induced norm.
+    """Multistart fixed-point ascent for sup (sum_s lam_s ||B_s e||_{b_s}^q)^(1/q)
+    on the unit sphere of the unweighted a-norm.
 
-    Each step maps x to Psi_{a'}(B^T Psi_b(Bx)) and renormalizes; the
-    attained value is nondecreasing, so the best iterate is a valid
-    lower bound.
+    Each step maps x to Psi_{a'}(sum_s lam_s v_s^(q-1) B_s^T Psi_{b_s}(B_s x / v_s))
+    with v_s = ||B_s x||_{b_s}, and renormalizes; the attained value is
+    nondecreasing, so the best iterate is a valid lower bound.  One
+    matrix with q = 1 and lam = 1 is the induced a -> b norm; every
+    weighting operation is then exact.
     """
-    X = _normalize_columns(_ascent_starts(B.shape[1], starts), a)
+    X = _normalize_columns(_ascent_starts(Bs[0].shape[1], starts), a)
     best = 0.0
     prev = np.full(X.shape[1], -1.0)
     for _ in range(iterations):
-        Y = B @ X
-        vals = _col_norms(Y, b)
+        Ys = [B @ X for B in Bs]
+        V = np.stack([_col_norms(Y, b) for Y, b in zip(Ys, bs)])
+        vals = (lams[:, None] * V ** q).sum(axis=0) ** (1.0 / q)
         best = max(best, float(np.max(vals)))
         if np.all(np.abs(vals - prev) <= tol * np.maximum(vals, 1.0)):
             break
         prev = vals
-        safe = np.where(vals > 0, vals, 1.0)
-        U = _dual_power(Y / safe, b)
-        X = _normalize_columns(_dual_power(B.T @ U, _dual(a)), a)
+        safe = np.where(V > 0, V, 1.0)
+        weights = lams[:, None] * V ** (q - 1.0)
+        Z = np.zeros_like(X)
+        for B, b, Y, s, w in zip(Bs, bs, Ys, safe, weights):
+            Z += w * (B.T @ _dual_power(Y / s, b))
+        X = _normalize_columns(_dual_power(Z, _dual(a)), a)
     return best
 
 
@@ -336,7 +330,7 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
         return NormResult(max(ell_power_sum(B[i, :], _dual(a)) for i in range(B.shape[0])), EXACT)
     if a == 2.0 and b == 2.0:
         return NormResult(float(np.linalg.svd(B, compute_uv=False)[0]), EXACT)
-    return NormResult(_induced_norm_ascent(B, a, b), LOWER_BOUND)
+    return NormResult(_ascent([B], [b], np.ones(1), a, 1.0), LOWER_BOUND)
 
 
 def matrix_norm_objective(
@@ -354,42 +348,6 @@ def matrix_norm_objective(
 # ---------------------------------------------------------------------------
 # fiber effectiveness
 # ---------------------------------------------------------------------------
-
-def _effectiveness_ascent(
-    Bs: list[np.ndarray],
-    bs: list[float],
-    lams: np.ndarray,
-    a: float,
-    q: float,
-    starts: int = ASCENT_STARTS,
-    iterations: int = ASCENT_ITERATIONS,
-    tol: float = ASCENT_TOL,
-) -> float:
-    """Multistart ascent for sup (sum_s lam_s ||B_s e||_{b_s}^q)^(1/q) on
-    the unit sphere of the unweighted a-norm.
-
-    Generalizes the single-matrix fixed point: the update direction is
-    the weighted sum of per-matrix subgradients.
-    """
-    d = Bs[0].shape[1]
-    X = _normalize_columns(_ascent_starts(d, starts), a)
-    best = 0.0
-    prev = np.full(X.shape[1], -1.0)
-    for _ in range(iterations):
-        Ys = [B @ X for B in Bs]
-        V = np.stack([_col_norms(Y, b) for Y, b in zip(Ys, bs)])
-        vals = (lams[:, None] * V ** q).sum(axis=0) ** (1.0 / q)
-        best = max(best, float(np.max(vals)))
-        if np.all(np.abs(vals - prev) <= tol * np.maximum(vals, 1.0)):
-            break
-        prev = vals
-        Z = np.zeros_like(X)
-        for B, b, lam, Y, v in zip(Bs, bs, lams, Ys, V):
-            safe = np.where(v > 0, v, 1.0)
-            Z += (lam * v ** (q - 1.0)) * (B.T @ _dual_power(Y / safe, b))
-        X = _normalize_columns(_dual_power(Z, _dual(a)), a)
-    return best
-
 
 def effectiveness_objective(
     kernel: OperatorKernel, t_id: str, q
@@ -466,7 +424,7 @@ def _fiber_effectiveness(kernel: OperatorKernel, t_id: str, q: float) -> NormRes
             M += lam * (B.T @ B)
         top = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
         return NormResult(math.sqrt(max(top, 0.0)), EXACT)
-    return NormResult(_effectiveness_ascent(Bs, bs, lams, W.r, q), LOWER_BOUND)
+    return NormResult(_ascent(Bs, bs, lams, W.r, q), LOWER_BOUND)
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:

@@ -155,6 +155,10 @@ class AtomMap:
         self.source = source
         self.target = target
         self.table = {s: table[s] for s in source.ids}
+        preimages: dict[str, list[str]] = {}
+        for s, t in self.table.items():
+            preimages.setdefault(t, []).append(s)
+        self._preimages = {t: tuple(ss) for t, ss in preimages.items()}
 
     def __call__(self, s_id: str) -> str:
         try:
@@ -170,7 +174,7 @@ class AtomMap:
         """Atoms of the source mapped onto ``t_id``, in canonical order."""
         if t_id not in self.target:
             raise UnknownAtomError(f"unknown atom {t_id!r}")
-        return tuple(s for s in self.source.ids if self.table[s] == t_id)
+        return self._preimages.get(t_id, ())
 
     def __repr__(self) -> str:
         return f"AtomMap({len(self.table)} atoms -> {len(set(self.table.values()))} images)"

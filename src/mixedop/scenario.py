@@ -1,10 +1,10 @@
 """Scenario files: the JSON schema (schema_version 1) and its loader.
 
 A scenario names measure spaces, relations, fiber families, kernels,
-mappings, densities, optional sections, an optional mixed-composition
-block, and a list of checks.  Numbers are JSON decimals or the string
-"inf".  Kernels and sections may be given explicitly or through
-seeded generators, so goldens stay human-writable.
+mappings, densities, an optional mixed-composition block, and a list
+of checks.  Numbers are JSON decimals or the string "inf".  Kernels
+may be given explicitly or through seeded generators, so goldens stay
+human-writable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import MixedOpError, ScenarioError
-from .fibers import FiberFamily, NormSpec, Section
+from .fibers import FiberFamily, NormSpec
 from .kernels import OperatorKernel
 from .measure import AtomMap, DensityFn, FiniteMeasureSpace, WeightedRelation
 from .mixedcomp import MixedDomain, SplitMapping
@@ -75,7 +75,6 @@ class Scenario:
     kernels: dict[str, OperatorKernel] = field(default_factory=dict)
     mappings: dict[str, AtomMap] = field(default_factory=dict)
     densities: dict[str, DensityFn] = field(default_factory=dict)
-    sections: dict[str, Section] = field(default_factory=dict)
     mixed: SplitMapping | None = None
     checks: list[Check] = field(default_factory=list)
 
@@ -265,51 +264,6 @@ def _load_densities(data: dict, spaces: dict) -> dict[str, DensityFn]:
     return out
 
 
-def _load_sections(data: dict, families: dict) -> dict[str, Section]:
-    out = {}
-    for name, cfg in _expect_mapping(data.get("sections", {}), "sections").items():
-        cfg = _expect_mapping(cfg, f"sections.{name}")
-        where = f"sections.{name}"
-        if cfg.get("family") not in families:
-            raise ScenarioError(f"{where}: unknown family {cfg.get('family')!r}")
-        fam = families[cfg["family"]]
-        if "values" in cfg:
-            values = {
-                a: [parse_number(x, f"{where}.values.{a}") for x in _expect_list(v, f"{where}.values.{a}")]
-                for a, v in _expect_mapping(cfg["values"], f"{where}.values").items()
-            }
-            try:
-                section = Section(values)
-            except (MixedOpError, ValueError) as e:
-                raise ScenarioError(f"{where}: {e}") from e
-        else:
-            gen = _expect_mapping(cfg.get("generator", {}), f"{where}.generator")
-            kind = gen.get("kind")
-            vals = {}
-            for i, atom in enumerate(fam.base.ids):
-                d = fam.dim(atom)
-                if kind == "random":
-                    vals[atom] = substream(int(gen.get("seed", 0)), GENERATOR_TAG, i).standard_normal(d)
-                elif kind == "constant":
-                    vals[atom] = np.full(d, parse_number(gen.get("value", 1.0), f"{where}.generator.value"))
-                elif kind == "basis":
-                    idx = int(gen.get("index", 0))
-                    if idx >= d:
-                        raise ScenarioError(f"{where}: basis index {idx} out of range at {atom!r}")
-                    e = np.zeros(d)
-                    e[idx] = 1.0
-                    vals[atom] = e
-                else:
-                    raise ScenarioError(f"{where}: unknown section generator {kind!r}")
-            section = Section(vals)
-        try:
-            fam.validate_section(section)
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
-        out[name] = section
-    return out
-
-
 def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
     cfg = data.get("mixed_composition")
     if cfg is None:
@@ -399,7 +353,6 @@ def load_scenario(path) -> Scenario:
     kernels = _load_kernels(data, relations, families)
     mappings = _load_mappings(data, spaces)
     densities = _load_densities(data, spaces)
-    sections = _load_sections(data, families)
     mixed = _load_mixed(data, spaces)
     checks = _load_checks(data)
     return Scenario(
@@ -410,7 +363,6 @@ def load_scenario(path) -> Scenario:
         kernels=kernels,
         mappings=mappings,
         densities=densities,
-        sections=sections,
         mixed=mixed,
         checks=checks,
     )

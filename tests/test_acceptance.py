@@ -14,8 +14,8 @@ from mixedop import (
     EXACT,
     FiniteMeasureSpace,
     OperatorKernel,
-    criterion_general,
-    criterion_graph,
+    criterion_general_result,
+    criterion_graph_result,
     criterion_mixed_composition,
     criterion_uniform_bounds,
     direct_integral_instance,
@@ -73,7 +73,7 @@ def test_01_scalar_equality_regime():
     for seed in range(100):
         ker = random_scalar_instance(seed, max_atoms=50)
         p, q = _pick_exponents(seed, require_strict=True)
-        crit = criterion_general(ker, p, q)
+        crit = criterion_general_result(ker, p, q).value
         exact = exact_norm_decoupled(ker, p, q)
         assert exact.certificate == EXACT
         gap = abs(crit - exact.value) / max(exact.value, 1e-300)
@@ -96,7 +96,7 @@ def test_02_criterion_dominates_random_sections():
     for seed in range(100):
         ker = random_instance(seed, max_atoms=8, max_dim=4)
         p, q = _pick_exponents(seed + 5000)
-        crit = criterion_general(ker, p, q)
+        crit = criterion_general_result(ker, p, q).value
         ratios = section_ratios(ker, p, q, 200, seed=seed + 10_000)
         excess = float(np.max(ratios)) - crit
         assert excess <= 1e-9 * max(crit, 1.0), (seed, p, q, excess)
@@ -174,13 +174,13 @@ def test_06_graph_criteria_match_exact_norm():
     for seed in range(50):
         ker, psi = random_graph_instance(seed, max_atoms=16, max_dim=3, injective=True)
         p, q = _pick_exponents(seed + 40_000)
-        crit = criterion_graph(ker, psi, p, q)
+        crit = criterion_graph_result(ker, psi, p, q).value
         exact = exact_norm_decoupled(ker, p, q).value
         rel_err = abs(crit - exact) / max(exact, 1e-300)
         assert rel_err <= 1e-9, (seed, p, q, crit, exact)
         worst = max(worst, rel_err)
     ker_id, psi_id = identity_instance(4, dim=2)
-    assert criterion_graph(ker_id, psi_id, 2, 2) == 1.0
+    assert criterion_graph_result(ker_id, psi_id, 2, 2).value == 1.0
     assert exact_norm_decoupled(ker_id, 2, 2).value == 1.0
     _report("6 graph criteria", f"50 injective graph instances, worst gap {worst:.2e}; identity = 1")
 
@@ -252,7 +252,7 @@ def test_08_mixed_composition_criterion():
             crit = criterion_mixed_composition(phi, p, q, alpha, beta)
             inst, psi_used = direct_integral_instance(phi, alpha, beta)
             brute = exact_norm_decoupled(inst, p, q).value
-            route = criterion_graph(inst, psi_used, p, q)
+            route = criterion_graph_result(inst, psi_used, p, q).value
             scale = max(crit, 1e-300)
             err_norm = abs(crit - brute) / scale
             err_route = abs(crit - route) / scale

@@ -16,8 +16,8 @@ from mixedop import (
     OperatorKernel,
     UnsupportedExponentsError,
     WeightedRelation,
-    criterion_general,
-    criterion_graph,
+    criterion_general_result,
+    criterion_graph_result,
     criterion_uniform_bounds,
     criterion_uniform_t,
     exact_norm_decoupled,
@@ -45,10 +45,10 @@ ROOT17 = 17.0 ** 0.25
 
 class TestCriterionGeneral:
     def test_scalar_p4_q2(self):
-        assert criterion_general(scalar17_instance(), 4, 2) == pytest.approx(ROOT17, rel=1e-15)
+        assert criterion_general_result(scalar17_instance(), 4, 2).value == pytest.approx(ROOT17, rel=1e-15)
 
     def test_scalar_p_equals_q(self):
-        assert criterion_general(scalar17_instance(), 2, 2) == pytest.approx(2.0, rel=1e-15)
+        assert criterion_general_result(scalar17_instance(), 2, 2).value == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_kernel(self):
         ker = scalar17_instance()
@@ -58,11 +58,11 @@ class TestCriterionGeneral:
             ker.codomain_family,
             {p: [[0.0]] for p in ker.pairs},
         )
-        assert criterion_general(zero, 4, 2) == 0.0
+        assert criterion_general_result(zero, 4, 2).value == 0.0
 
     def test_rejects_p_less_than_q(self):
         with pytest.raises(UnsupportedExponentsError):
-            criterion_general(scalar17_instance(), 2, 4)
+            criterion_general_result(scalar17_instance(), 2, 4)
 
 
 class TestCriterionUniformT:
@@ -88,7 +88,7 @@ class TestCriterionUniformT:
         ker = scalar17_instance()
         rho = DensityFn({"t1": 1.0, "t2": 2.0})
         got = criterion_uniform_t(ker, rho, 4, 2)
-        assert got == pytest.approx(criterion_general(ker, 4, 2), rel=1e-12)
+        assert got == pytest.approx(criterion_general_result(ker, 4, 2).value, rel=1e-12)
         assert got == pytest.approx(ROOT17, rel=1e-12)
 
     def test_hypothesis_violation(self):
@@ -107,7 +107,7 @@ class TestCriterionUniformT:
 class TestCriterionGraph:
     def test_identity_recovers_decomposable_condition(self):
         ker, psi = identity_instance(2)
-        assert criterion_graph(ker, psi, 2, 2) == 1.0
+        assert criterion_graph_result(ker, psi, 2, 2).value == 1.0
 
     def test_injective_swap(self):
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 4.0})
@@ -117,7 +117,7 @@ class TestCriterionGraph:
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
-        assert criterion_graph(ker, psi, 2, 2) == pytest.approx(2.0, rel=1e-15)
+        assert criterion_graph_result(ker, psi, 2, 2).value == pytest.approx(2.0, rel=1e-15)
         # sampling oracle corroborates (scalar fibers: oracle is exact)
         assert oracle_norm_sampling(ker, 2, 2, 16, seed=0) == pytest.approx(2.0, rel=1e-12)
 
@@ -130,7 +130,7 @@ class TestCriterionGraph:
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
         with pytest.raises(NotInjectiveError):
-            criterion_graph(ker, psi, 2, 2)
+            criterion_graph_result(ker, psi, 2, 2)
 
 
 class TestCriterionUniformBounds:
@@ -180,7 +180,7 @@ class TestExactNormDecoupled:
     def test_projection_gap(self):
         ker = projection_gap_instance()
         res = exact_norm_decoupled(ker, 2, 2)
-        upper = criterion_general(ker, 2, 2)
+        upper = criterion_general_result(ker, 2, 2).value
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
@@ -310,7 +310,7 @@ class TestSufficiency:
         for seed in range(20):
             ker = random_instance(seed, max_atoms=6, max_dim=4)
             for p, q in [(4, 2), (2, 2), (3, 1.5)]:
-                crit = criterion_general(ker, p, q)
+                crit = criterion_general_result(ker, p, q).value
                 ratios = section_ratios(ker, p, q, 200, seed=seed + 1000)
                 assert float(np.max(ratios)) <= crit + 1e-9 * max(crit, 1.0)
 
@@ -380,13 +380,3 @@ class TestSandwichReport:
         rep = sandwich_report(ker, 4, 2, 10, seed=0)
         assert rep.lower == rep.upper == rep.oracle == 0.0
         assert rep.equality
-
-    def test_to_record_roundtrip(self):
-        rep = sandwich_report(scalar17_instance(), 4, 2, 10, seed=0)
-        rec = rep.to_record("scalar17")
-        assert rec["instance"] == "scalar17"
-        assert rec["lower"] == rep.lower
-        assert set(rec) == {
-            "instance", "p", "q", "kappa", "lower", "upper", "oracle",
-            "equality", "lower_certificate", "upper_certificate",
-        }

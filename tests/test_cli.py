@@ -93,19 +93,6 @@ class TestScenarioLoading:
         r2 = load_scenario(_write(tmp_path, data, "again.json")).kernels["R"].matrix("s1", "t1")[0, 0]
         assert r1 == r2  # generator output is seed-deterministic
 
-    def test_section_generators(self, tmp_path):
-        data = _minimal_scenario()
-        data["sections"] = {
-            "ones": {"family": "W", "generator": {"kind": "constant", "value": 1.0}},
-            "e0": {"family": "W", "generator": {"kind": "basis", "index": 0}},
-            "rnd": {"family": "W", "generator": {"kind": "random", "seed": 6}},
-            "explicit": {"family": "W", "values": {"t1": [2.0], "t2": [3.0]}},
-        }
-        sc = load_scenario(_write(tmp_path, data))
-        assert sc.sections["ones"]["t1"][0] == 1.0
-        assert sc.sections["e0"]["t2"][0] == 1.0
-        assert sc.sections["explicit"]["t2"][0] == 3.0
-
     def test_ambiguous_default_kernel(self, tmp_path):
         data = _minimal_scenario()
         data["kernels"]["Q"] = data["kernels"]["P"]
@@ -172,6 +159,34 @@ class TestRunVerb:
         assert main(["run", str(SCENARIOS / "scalar17.json")]) == 0
         assert out.exists() and out.read_text().startswith(",".join(COLUMNS))
 
+    @pytest.mark.parametrize("name, value", [("SEED", "abc"), ("SAMPLES", "1.5"), ("TOLERANCE", "tight")])
+    def test_bad_env_value_exits_1(self, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(f"MIXEDOP_{name}", value)
+        assert main(["run", str(SCENARIOS / "scalar17.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mixedop: input error: MIXEDOP_{name}")
+
+    @pytest.mark.parametrize("entry", ["1e400", "NaN", "Infinity"])
+    def test_non_finite_matrix_exits_1(self, tmp_path, capsys, entry):
+        text = (SCENARIOS / "scalar17.json").read_text()
+        assert "[[2.0]]" in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("[[2.0]]", f"[[{entry}]]"))
+        out = tmp_path / "out.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_scalar_generator_exits_1(self, tmp_path, capsys):
+        data = _minimal_scenario()
+        data["kernels"]["P"] = {"relation": "lam", "domain": "W", "codomain": "V",
+                                "generator": {"kind": "scalar", "value": "inf"}}
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixedcomp_scenario(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["run", str(SCENARIOS / "mixed_composition.json"), "--out", str(out)]) == 0
@@ -204,6 +219,15 @@ class TestSweepVerb:
         assert all(r["reason"] == "p<q out of supported scope" for r in rejected)
         diagonal = [r for r in computed if r["p"] == r["q"]]
         assert all(r["kappa"] == "inf" for r in diagonal)
+
+    def test_tolerance_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", str(SCENARIOS / "scalar17.json"),
+                "--p-grid", "2", "--q-grid", "2", "--tolerance", "1",
+            ])
+        assert exc.value.code != 0
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_sweep_byte_determinism(self, tmp_path):
         outs = []

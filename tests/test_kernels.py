@@ -10,7 +10,6 @@ from mixedop import (
     INF,
     LOWER_BOUND,
     DimensionMismatchError,
-    Exponents,
     FiberFamily,
     FiniteMeasureSpace,
     InvalidExponentError,
@@ -64,12 +63,6 @@ class TestKappa:
             kappa(INF, 2)
         with pytest.raises(InvalidExponentError):
             kappa(2, 0.5)
-
-    def test_exponents_type(self):
-        e = Exponents(4, 2)
-        assert e.kappa == 4.0
-        with pytest.raises(UnsupportedExponentsError):
-            Exponents(1.5, 2)
 
 
 def _scalar_pair_instance():

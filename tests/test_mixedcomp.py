@@ -14,8 +14,8 @@ from mixedop import (
     SplitMapping,
     UnknownAtomError,
     compose_apply,
-    criterion_general,
-    criterion_graph,
+    criterion_general_result,
+    criterion_graph_result,
     criterion_mixed_composition,
     criterion_uniform_bounds,
     direct_integral_instance,
@@ -188,7 +188,7 @@ class TestCriterion:
                 crit = criterion_mixed_composition(phi, p, q, a, b)
                 inst, psi_used = direct_integral_instance(phi, a, b)
                 brute = exact_norm_decoupled(inst, p, q).value
-                route = criterion_graph(inst, psi_used, p, q)
+                route = criterion_graph_result(inst, psi_used, p, q).value
                 scale = max(crit, 1.0)
                 assert abs(crit - brute) <= 1e-6 * scale
                 assert abs(crit - route) <= 1e-9 * scale
@@ -224,4 +224,4 @@ class TestDirectIntegralInstance:
         p, q, a, b = 3.0, 2.0, 2.0, 3.0
         crit = criterion_mixed_composition(phi, p, q, a, b)
         inst, _ = direct_integral_instance(phi, a, b)
-        assert criterion_general(inst, p, q) == pytest.approx(crit, rel=1e-9)
+        assert criterion_general_result(inst, p, q).value == pytest.approx(crit, rel=1e-9)
