@@ -31,6 +31,7 @@ from .errors import (
     InvalidExponentError,
     MissingPairError,
     MixedOpError,
+    NonFiniteResultError,
     NotInjectiveError,
     SandwichViolationError,
     ScenarioError,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     HypothesisViolationError,
+    NonFiniteResultError,
     NotInjectiveError,
     SandwichViolationError,
     UnknownAtomError,
@@ -71,6 +72,10 @@ class PhiValue:
 
     subset: frozenset
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NonFiniteResultError(f"set function value {self.value} is not finite (overflow in the arithmetic)")
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q, tol: float
             raise UnknownAtomError(f"rho not defined on atom {t!r}")
     for (s, t) in rel.pairs:
         got = kernel.matrix_norm(s, t).value
-        if abs(got - rho[t]) > tol * max(1.0, rho[t]):
+        if not (abs(got - rho[t]) <= tol * max(1.0, rho[t])):
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} differs from rho({t!r}) = {rho[t]:.12g}"
             )
@@ -262,9 +267,12 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> PhiValue:
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
     total = 0.0
-    for t in sorted(subset):
-        c = fiber_effectiveness(kernel, t, q).value
-        total += (c * T.weight(t) ** (-1.0 / p)) ** k
+    try:
+        for t in sorted(subset):
+            c = fiber_effectiveness(kernel, t, q).value
+            total += (c * T.weight(t) ** (-1.0 / p)) ** k
+    except OverflowError:
+        total = math.inf
     return PhiValue(subset, total)
 
 
@@ -383,12 +391,12 @@ def sandwich_report(
     upper = criterion_general_result(kernel, p, q)
     oracle = oracle_norm_sampling(kernel, p, q, oracle_samples, seed)
     scale = max(1.0, upper.value)
-    if oracle > lower.value + _slack(lower.certificate) * scale:
+    if not (oracle <= lower.value + _slack(lower.certificate) * scale):
         raise SandwichViolationError(
             f"oracle {oracle:.15g} exceeds decoupled norm {lower.value:.15g}"
         )
     worst = LOWER_BOUND if LOWER_BOUND in (lower.certificate, upper.certificate) else EXACT
-    if lower.value > upper.value + _slack(worst) * scale:
+    if not (lower.value <= upper.value + _slack(worst) * scale):
         raise SandwichViolationError(
             f"decoupled norm {lower.value:.15g} exceeds criterion {upper.value:.15g}"
         )

@@ -5,15 +5,18 @@ Verbs:
   sweep      sandwich reports over a (p, q) grid
   phi-audit  additivity / monotonicity / derivative audit of the set function
 
-Exit codes: 0 when all invariant assertions hold, 1 on input errors,
-2 when a sandwich or equality assertion fails.  Output is CSV with a
-fixed column order; floats carry 17 significant digits, and identical
-inputs with the same seed produce byte-identical files (wall times are
-written as 0 unless --timing is passed).
+Exit codes: 0 when all invariant assertions hold, 1 on input errors
+(usage errors and non-finite results included), 2 when a sandwich or
+equality assertion fails.  Output is CSV with a fixed column order;
+floats carry 17 significant digits, and identical inputs with the same
+seed produce byte-identical files (wall times are written as 0 unless
+--timing is passed).
 
 Flags may also be set through environment variables prefixed with the
 tool name: MIXEDOP_SEED, MIXEDOP_SAMPLES, MIXEDOP_OUT, MIXEDOP_TOLERANCE
-(run and phi-audit only); a value that does not parse is an input error.
+(run and phi-audit only); a value that does not parse, a count below 1
+(samples, partitions), a negative seed and a negative or non-finite
+tolerance are input errors.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ def _execute_check(
     elif kind == "phi_audit":
         worst = _phi_audit_value(sc.kernel_for(check), p, q, check.partitions, seed)
         row.update(value=worst)
-        if worst > tolerance:
+        if not (worst <= tolerance):
             row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
     elif kind == "mixedcomp":
         if sc.mixed is None:
@@ -320,6 +323,42 @@ def phi_audit(
     return _finish(rows, sc.id, timing, out_path)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits 1 on a usage error: argparse's own code 2 is
+    the CLI's code for a failed assertion."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _integer(minimum: int):
+    """A converter to an int of at least ``minimum``, for flags and
+    environment variables alike."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative assertion tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _setting(flag, name: str, convert, default=None):
     """A flag's value, else the environment variable MIXEDOP_<name>
     converted, else ``default``."""
@@ -330,8 +369,8 @@ def _setting(flag, name: str, convert, default=None):
         return default
     try:
         return convert(text)
-    except ValueError:
-        raise ScenarioError(f"{ENV_PREFIX}{name}: bad value {text!r}") from None
+    except argparse.ArgumentTypeError as e:
+        raise ScenarioError(f"{ENV_PREFIX}{name}: {e}") from None
 
 
 def _grid(text: str, where: str) -> list[float]:
@@ -353,7 +392,7 @@ def _grid(text: str, where: str) -> list[float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedop",
         description="Scenario runner for mixed-operator boundedness checks.",
     )
@@ -362,8 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     def add_common(sp):
         sp.add_argument("scenario", help="path to a scenario JSON file")
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        sp.add_argument("--seed", type=int, default=None, help="override check seeds")
-        sp.add_argument("--samples", type=int, default=None, help="override oracle sample counts")
+        sp.add_argument("--seed", type=_integer(0), default=None, help="override check seeds")
+        sp.add_argument("--samples", type=_integer(1), default=None, help="override oracle sample counts")
         sp.add_argument("--timing", action="store_true", help="record wall times (breaks byte-determinism)")
 
     sp_run = sub.add_parser("run", help="execute every check in the scenario")
@@ -376,16 +415,16 @@ def main(argv: list[str] | None = None) -> int:
 
     sp_audit = sub.add_parser("phi-audit", help="audit the set function on random partitions")
     add_common(sp_audit)
-    sp_audit.add_argument("--partitions", type=int, default=50, help="random partitions per pair")
+    sp_audit.add_argument("--partitions", type=_integer(1), default=50, help="random partitions per pair")
 
     for sp in (sp_run, sp_audit):
-        sp.add_argument("--tolerance", type=float, default=None, help="assertion tolerance")
+        sp.add_argument("--tolerance", type=_tolerance, default=None, help="assertion tolerance")
 
     args = parser.parse_args(argv)
 
     try:
-        seed = _setting(args.seed, "SEED", int)
-        samples = _setting(args.samples, "SAMPLES", int)
+        seed = _setting(args.seed, "SEED", _integer(0))
+        samples = _setting(args.samples, "SAMPLES", _integer(1))
         out = _setting(args.out, "OUT", str)
         if args.verb == "sweep":
             return sweep(
@@ -397,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
                 samples,
                 args.timing,
             )
-        tolerance = _setting(args.tolerance, "TOLERANCE", float, DEFAULT_TOLERANCE)
+        tolerance = _setting(args.tolerance, "TOLERANCE", _tolerance, DEFAULT_TOLERANCE)
         if args.verb == "run":
             return run(args.scenario, out, seed, samples, tolerance, args.timing)
         return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)

@@ -46,5 +46,10 @@ class ScenarioError(MixedOpError, ValueError):
     """A scenario file does not parse or fails cross-reference checks."""
 
 
+class NonFiniteResultError(MixedOpError, ArithmeticError):
+    """A computed norm came out NaN or infinite, which finite input can
+    still cause when an intermediate power overflows."""
+
+
 class SandwichViolationError(MixedOpError):
     """The ordering oracle <= lower <= upper failed beyond tolerance."""

@@ -13,6 +13,7 @@ cross-checks in dimensions 2 and 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     MissingPairError,
+    NonFiniteResultError,
     UnknownAtomError,
     UnsupportedExponentsError,
 )
@@ -82,6 +84,8 @@ class NormResult:
     certificate: str
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NonFiniteResultError(f"norm value {self.value} is not finite (overflow in the arithmetic)")
         if self.value < 0:
             raise ValueError("norm value must be nonnegative")
         if self.certificate not in (EXACT, LOWER_BOUND):
@@ -222,9 +226,10 @@ def _dual(r: float) -> float:
 
 
 def _col_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """r-norms of the columns of X, or of each matrix of a stack."""
     if math.isinf(r):
-        return np.max(np.abs(X), axis=0)
-    return np.sum(np.abs(X) ** r, axis=0) ** (1.0 / r)
+        return np.abs(X).max(axis=-2)
+    return (np.abs(X) ** r).sum(axis=-2) ** (1.0 / r)
 
 
 def _dual_power(Y: np.ndarray, r: float) -> np.ndarray:
@@ -233,15 +238,16 @@ def _dual_power(Y: np.ndarray, r: float) -> np.ndarray:
         return np.sign(Y)
     if math.isinf(r):
         Z = np.zeros_like(Y)
-        rows = np.argmax(np.abs(Y), axis=0)
-        cols = np.arange(Y.shape[1])
-        Z[rows, cols] = np.sign(Y[rows, cols])
+        rows = np.argmax(np.abs(Y), axis=-2, keepdims=True)
+        np.put_along_axis(Z, rows, np.sign(np.take_along_axis(Y, rows, axis=-2)), axis=-2)
         return Z
     return np.sign(Y) * np.abs(Y) ** (r - 1.0)
 
 
+@functools.cache
 def _ascent_starts(d: int, m: int) -> np.ndarray:
-    """Basis vectors, their normalized sum, and seeded random fill-ins."""
+    """Basis vectors, their normalized sum, and seeded random fill-ins
+    (one read-only array per (d, m), built once)."""
     cols = []
     for i in range(min(d, m // 2)):
         e = np.zeros(d)
@@ -251,55 +257,129 @@ def _ascent_starts(d: int, m: int) -> np.ndarray:
     g = substream(_START_SEED, START_TAG, d)
     while len(cols) < m:
         cols.append(g.standard_normal(d))
-    return np.column_stack(cols[:m])
+    starts = np.column_stack(cols[:m])
+    starts.flags.writeable = False
+    return starts
 
 
 def _normalize_columns(X: np.ndarray, a: float) -> np.ndarray:
     n = _col_norms(X, a)
     dead = n == 0
-    if np.any(dead):
+    if dead.any():
         X = X.copy()
-        X[:, dead] = 0.0
-        X[0, dead] = 1.0
+        rows = np.moveaxis(X, -2, 0)
+        rows[:, dead] = 0.0
+        rows[0, dead] = 1.0
         n = _col_norms(X, a)
-    return X / n
+    return X / n[..., None, :]
+
+
+class _Stack:
+    """The pair matrices of one (out dim, b) group of an ascent batch.
+
+    Slice i belongs to live problem ``owner[i]``, where it is matrix
+    number ``slot[i]``; ``Y`` and ``V`` hold the current images and
+    their b-norms.
+    """
+
+    def __init__(self, b: float, B: np.ndarray, lam: np.ndarray, owner: np.ndarray, slot: np.ndarray):
+        self.b = b
+        self.B = B
+        self.lam = lam
+        self.owner = owner
+        self.slot = slot
+        self.Y = self.V = None
+
+    def keep(self, mask: np.ndarray, position: np.ndarray) -> "_Stack":
+        """The slices of the problems kept by ``mask``, renumbered by ``position``."""
+        sel = mask[self.owner]
+        out = _Stack(self.b, self.B[sel], self.lam[sel], position[self.owner[sel]], self.slot[sel])
+        out.Y, out.V = self.Y[sel], self.V[sel]
+        return out
+
+
+def _sum_slots(stacks: list[_Stack], parts: list[np.ndarray], width: int, n: int) -> np.ndarray:
+    """Per live problem, the sum of its matrices' parts in matrix order."""
+    if width == 1 and len(stacks) == 1:
+        return parts[0]
+    out = np.zeros((width * n,) + parts[0].shape[1:])
+    for st, part in zip(stacks, parts):
+        out[st.slot * n + st.owner] = part
+    return out.reshape((width, n) + parts[0].shape[1:]).sum(axis=0)
 
 
 def _ascent(
-    Bs: list[np.ndarray],
-    bs: list[float],
-    lams: np.ndarray,
+    problems: list[tuple[list[np.ndarray], list[float], np.ndarray]],
     a: float,
     q: float,
     starts: int = ASCENT_STARTS,
     iterations: int = ASCENT_ITERATIONS,
     tol: float = ASCENT_TOL,
-) -> float:
+) -> np.ndarray:
     """Multistart fixed-point ascent for sup (sum_s lam_s ||B_s e||_{b_s}^q)^(1/q)
-    on the unit sphere of the unweighted a-norm.
+    on the unit sphere of the unweighted a-norm, for a batch of problems
+    ``(Bs, bs, lams)`` sharing the input dimension; one best value each.
 
     Each step maps x to Psi_{a'}(sum_s lam_s v_s^(q-1) B_s^T Psi_{b_s}(B_s x / v_s))
     with v_s = ||B_s x||_{b_s}, and renormalizes; the attained value is
     nondecreasing, so the best iterate is a valid lower bound.  One
     matrix with q = 1 and lam = 1 is the induced a -> b norm; every
     weighting operation is then exact.
+
+    The matrices of all problems are stacked by (out dim, b), so every
+    product is the same per-slice matmul and every elementwise power the
+    same scalar exponent as for a problem solved alone, and per-problem
+    sums run in the problem's own matrix order: each value is
+    bit-identical to a batch of one.  A problem leaves the batch once
+    all its starts have moved by at most ``tol``.
     """
-    X = _normalize_columns(_ascent_starts(Bs[0].shape[1], starts), a)
-    best = 0.0
-    prev = np.full(X.shape[1], -1.0)
+    n = len(problems)
+    width = max(len(Bs) for Bs, _, _ in problems)
+    groups: dict[tuple[int, float], list] = {}
+    for i, (Bs, bs, lams) in enumerate(problems):
+        for k, (B, b, lam) in enumerate(zip(Bs, bs, lams)):
+            groups.setdefault((B.shape[0], b), []).append((i, k, B, lam))
+    stacks = [
+        _Stack(
+            b,
+            np.stack([B for _, _, B, _ in items]),
+            np.array([[lam] for _, _, _, lam in items]),
+            np.array([i for i, _, _, _ in items]),
+            np.array([k for _, k, _, _ in items]),
+        )
+        for (_, b), items in groups.items()
+    ]
+    X0 = _normalize_columns(_ascent_starts(problems[0][0][0].shape[1], starts), a)
+    X = np.repeat(X0[None], n, axis=0)
+    live = np.arange(n)
+    best = np.zeros(n)
+    prev = np.full((n, starts), -1.0)
     for _ in range(iterations):
-        Ys = [B @ X for B in Bs]
-        V = np.stack([_col_norms(Y, b) for Y, b in zip(Ys, bs)])
-        vals = (lams[:, None] * V ** q).sum(axis=0) ** (1.0 / q)
-        best = max(best, float(np.max(vals)))
-        if np.all(np.abs(vals - prev) <= tol * np.maximum(vals, 1.0)):
-            break
+        single = width == 1 and len(stacks) == 1
+        parts = []
+        for st in stacks:
+            st.Y = st.B @ (X if single else X[st.owner])
+            st.V = _col_norms(st.Y, st.b)
+            parts.append(st.lam * st.V ** q)
+        vals = _sum_slots(stacks, parts, width, len(live)) ** (1.0 / q)
+        best[live] = np.fmax(best[live], vals.max(axis=1))
+        done = (np.abs(vals - prev) <= tol * np.maximum(vals, 1.0)).all(axis=1)
         prev = vals
-        safe = np.where(V > 0, V, 1.0)
-        weights = lams[:, None] * V ** (q - 1.0)
-        Z = np.zeros_like(X)
-        for B, b, Y, s, w in zip(Bs, bs, Ys, safe, weights):
-            Z += w * (B.T @ _dual_power(Y / s, b))
+        if done.any():
+            mask = ~done
+            if not mask.any():
+                break
+            position = np.cumsum(mask) - 1
+            stacks = [st.keep(mask, position) for st in stacks]
+            stacks = [st for st in stacks if st.B.shape[0]]
+            live, prev = live[mask], prev[mask]
+        parts = []
+        for st in stacks:
+            safe = np.where(st.V > 0, st.V, 1.0)
+            weights = st.lam * st.V ** (q - 1.0)
+            D = _dual_power(st.Y / safe[:, None, :], st.b)
+            parts.append(weights[:, None, :] * (np.swapaxes(st.B, 1, 2) @ D))
+        Z = _sum_slots(stacks, parts, width, len(live))
         X = _normalize_columns(_dual_power(Z, _dual(a)), a)
     return best
 
@@ -330,7 +410,7 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
         return NormResult(max(ell_power_sum(B[i, :], _dual(a)) for i in range(B.shape[0])), EXACT)
     if a == 2.0 and b == 2.0:
         return NormResult(float(np.linalg.svd(B, compute_uv=False)[0]), EXACT)
-    return NormResult(_ascent([B], [b], np.ones(1), a, 1.0), LOWER_BOUND)
+    return NormResult(float(_ascent([([B], [b], np.ones(1))], a, 1.0)[0]), LOWER_BOUND)
 
 
 def matrix_norm_objective(
@@ -381,20 +461,48 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     matrix norm); scalar W_t; W_t with exponent 1 (signed basis
     vertices, the objective being convex); q = 2 with all-l2 fibers
     (largest eigenvalue of the weight-conjugated quadratic form).
+
+    On a cache miss every uncached target of the kernel is solved at
+    this q in one pass, the ascent problems batched by the dimension
+    and exponent of W_t.
     """
     q = check_exponent(q)
     if math.isinf(q):
         raise UnsupportedExponentsError("fiber effectiveness needs finite q")
     key = (t_id, q)
     cached = kernel._eff_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _fiber_effectiveness(kernel, t_id, q)
-    kernel._eff_cache[key] = result
-    return result
+    if cached is None:
+        if t_id not in kernel.relation.target:
+            raise UnknownAtomError(f"unknown atom {t_id!r}")
+        _fill_effectiveness(kernel, q)
+        cached = kernel._eff_cache[key]
+    return cached
 
 
-def _fiber_effectiveness(kernel: OperatorKernel, t_id: str, q: float) -> NormResult:
+def _fill_effectiveness(kernel: OperatorKernel, q: float) -> None:
+    """Cache c(t) at q for every target of the kernel not cached yet."""
+    cache = kernel._eff_cache
+    batches: dict[tuple[int, float], list] = {}
+    for t in kernel.relation.target.ids:
+        if (t, q) in cache:
+            continue
+        built = _effectiveness_problem(kernel, t, q)
+        if isinstance(built, NormResult):
+            cache[(t, q)] = built
+        else:
+            W = kernel.domain_family.norm(t)
+            batches.setdefault((W.dim, W.r), []).append((t, built))
+    for (_, a), items in batches.items():
+        values = _ascent([problem for _, problem in items], a, q)
+        for (t, _), value in zip(items, values):
+            cache[(t, q)] = NormResult(float(value), LOWER_BOUND)
+
+
+def _effectiveness_problem(
+    kernel: OperatorKernel, t_id: str, q: float
+) -> NormResult | tuple[list[np.ndarray], list[float], np.ndarray]:
+    """c(t) as a ``NormResult`` from a closed-form branch, or else the
+    ascent problem ``(Bs, bs, lams)`` that yields it."""
     pairs = kernel.relation.pairs_for_target(t_id)
     if not pairs:
         return NormResult(0.0, EXACT)
@@ -424,7 +532,7 @@ def _fiber_effectiveness(kernel: OperatorKernel, t_id: str, q: float) -> NormRes
             M += lam * (B.T @ B)
         top = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
         return NormResult(math.sqrt(max(top, 0.0)), EXACT)
-    return NormResult(_ascent(Bs, bs, lams, W.r, q), LOWER_BOUND)
+    return Bs, bs, lams
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:

@@ -38,6 +38,13 @@ def parse_number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _expect_count(value: Any, minimum: int, where: str) -> int:
+    """A JSON integer of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _expect_mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object")
@@ -319,9 +326,9 @@ def _load_checks(data: dict) -> list[Check]:
             Check(
                 kind=kind,
                 exponents=exponents,
-                seed=int(cfg.get("seed", 0)),
-                samples=int(cfg.get("samples", 1000)),
-                partitions=int(cfg.get("partitions", 20)),
+                seed=_expect_count(cfg.get("seed", 0), 0, f"{where}.seed"),
+                samples=_expect_count(cfg.get("samples", 1000), 1, f"{where}.samples"),
+                partitions=_expect_count(cfg.get("partitions", 20), 1, f"{where}.partitions"),
                 kernel=cfg.get("kernel"),
                 mapping=cfg.get("mapping"),
                 density=cfg.get("density"),

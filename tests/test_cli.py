@@ -18,6 +18,31 @@ def _write(tmp_path, data, name="scenario.json"):
     return str(path)
 
 
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _overflow_scenario(entry: float, kind: str):
+    """One pair of 2-dim fibers, W r=1.5 and V r=3: finite entries whose
+    powers overflow inside the computation."""
+    data = _minimal_scenario()
+    data["spaces"]["T"] = {"t1": 1.0}
+    data["relations"]["lam"]["pairs"] = [["s1", "t1", 1.0]]
+    data["families"] = {
+        "W": {"base": "T", "fibers": {"t1": {"r": 1.5, "weights": [1.0, 1.0]}}},
+        "V": {"base": "S", "fibers": {"s1": {"r": 3, "weights": [1.0, 1.0]}}},
+    }
+    data["kernels"]["P"]["matrices"] = [
+        ["s1", "t1", [[entry, 3 * entry], [2 * entry, -entry]]]
+    ]
+    data["checks"] = [{"kind": kind, "exponents": [[4, 2]]}]
+    return data
+
+
 def _minimal_scenario():
     return {
         "schema_version": 1,
@@ -186,6 +211,57 @@ class TestRunVerb:
         assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry, kind", [(1e200, "exact_norm"), (1e200, "sandwich"), (1e100, "phi_audit")])
+    def test_non_finite_result_exits_1(self, tmp_path, capsys, entry, kind):
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, _overflow_scenario(entry, kind)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixedop: error:") and "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, flags, env", [
+        ("--samples", None, ["--samples", "0"], {}),
+        ("MIXEDOP_SAMPLES", None, [], {"MIXEDOP_SAMPLES": "0"}),
+        ("--seed", None, ["--seed", "-1"], {}),
+        ("checks[0].samples", 0, [], {}),
+        ("checks[0].samples", "abc", [], {}),
+        ("checks[0].seed", "abc", [], {}),
+        ("checks[0].seed", -1, [], {}),
+        ("checks[0].partitions", "abc", [], {}),
+        ("checks[0].partitions", 0, [], {}),
+    ])
+    def test_bad_count_exits_1(self, tmp_path, monkeypatch, capsys, field, value, flags, env):
+        data = _minimal_scenario()
+        if value is not None:
+            data["checks"][0][field.split(".")[1]] = value
+        for name, text in env.items():
+            monkeypatch.setenv(name, text)
+        assert _exit_code(["run", _write(tmp_path, data), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err and ">= " in captured.err
+
+    @pytest.mark.parametrize("verb", ["run", "phi-audit"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_1(self, monkeypatch, capsys, verb, value):
+        scenario = str(SCENARIOS / "scalar17.json")
+        assert _exit_code([verb, scenario, "--tolerance", value]) == 1
+        assert "--tolerance" in capsys.readouterr().err
+        monkeypatch.setenv("MIXEDOP_TOLERANCE", value)
+        assert _exit_code([verb, scenario]) == 1
+        assert "MIXEDOP_TOLERANCE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "x.json", "--bogus"],
+        ["sweep", "x.json", "--p-grid", "2", "--q-grid", "2", "--tolerance", "1"],
+        ["phi-audit", "x.json", "--partitions", "0"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert _exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mixedop") and "error:" in err
 
     def test_mixedcomp_scenario(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedop import (
     EXACT,
@@ -40,6 +42,17 @@ from mixedop.generators import (
     random_instance,
     random_kernel,
     random_measure_space,
+)
+from mixedop.kernels import (
+    ASCENT_ITERATIONS,
+    ASCENT_STARTS,
+    ASCENT_TOL,
+    _ascent,
+    _ascent_starts,
+    _col_norms,
+    _dual,
+    _dual_power,
+    _normalize_columns,
 )
 from mixedop.rng import substream
 
@@ -402,6 +415,61 @@ class TestFiberEffectiveness:
         ker = _scalar_pair_instance()
         with pytest.raises(UnsupportedExponentsError):
             fiber_effectiveness(ker, "t1", INF)
+
+
+def _reference_ascent(Bs, bs, lams, a, q):
+    """The fixed point for one problem as a plain per-matrix loop: the
+    arithmetic that the batched ``_ascent`` must reproduce bit for bit."""
+    X = _normalize_columns(_ascent_starts(Bs[0].shape[1], ASCENT_STARTS), a)
+    best = 0.0
+    prev = np.full(X.shape[1], -1.0)
+    for _ in range(ASCENT_ITERATIONS):
+        Ys = [B @ X for B in Bs]
+        V = np.stack([_col_norms(Y, b) for Y, b in zip(Ys, bs)])
+        vals = (lams[:, None] * V ** q).sum(axis=0) ** (1.0 / q)
+        best = max(best, float(np.max(vals)))
+        if np.all(np.abs(vals - prev) <= ASCENT_TOL * np.maximum(vals, 1.0)):
+            break
+        prev = vals
+        Z = np.zeros_like(X)
+        for B, b, Y, v, lam in zip(Bs, bs, Ys, V, lams):
+            w = lam * v ** (q - 1.0)
+            Z += w * (B.T @ _dual_power(Y / np.where(v > 0, v, 1.0), b))
+        X = _normalize_columns(_dual_power(Z, _dual(a)), a)
+    return best
+
+
+@st.composite
+def _ascent_batches(draw):
+    """Problems sharing an input dimension: ragged matrix counts, out
+    dims 1-4, b in {1, 1.5, 3, inf}, some all-zero matrices."""
+    d = draw(st.integers(2, 4))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 4))
+        dims = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        bs = draw(st.lists(st.sampled_from([1.0, 1.5, 3.0, INF]), min_size=k, max_size=k))
+        zero = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        Bs = [np.zeros((m, d)) if z else g.standard_normal((m, d)) for m, z in zip(dims, zero)]
+        problems.append((Bs, bs, g.uniform(0.1, 2.0, k)))
+    return problems
+
+
+class TestBatchedAscent:
+    @settings(max_examples=60, deadline=None)
+    @given(problems=_ascent_batches(), a=st.sampled_from([1.5, 3.0, INF]), q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_batch_equals_each_problem_alone(self, problems, a, q):
+        batched = _ascent(problems, a, q)
+        for problem, value in zip(problems, batched):
+            assert value == _ascent([problem], a, q)[0] == _reference_ascent(*problem, a, q)
+
+    def test_effectiveness_equals_target_alone(self):
+        for seed in range(6):
+            ker = random_instance(seed, max_atoms=8, max_dim=3, density=0.6)
+            for t in ker.relation.target.ids:
+                alone = fiber_effectiveness(ker.restrict_targets([t]), t, 2.5)
+                assert fiber_effectiveness(ker, t, 2.5) == alone
 
 
 class TestGridOracleSanity:
