@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedExponentsError,
 )
 from .fibers import check_exponent, ell_power_sum, lp_measure_norm
+from .generators import random_partition_labels
 from .kernels import (
     EXACT,
     LOWER_BOUND,
@@ -251,34 +252,91 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     return NormResult(value, cert)
 
 
+def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> np.ndarray:
+    """Phi({t}) = (c(t) mu_t^(-1/p))^kappa for each atom of ``ids``, in
+    that order: the one definition every set-function value and
+    derivative is summed from."""
+    T = kernel.relation.target
+    terms = np.empty(len(ids))
+    for i, t in enumerate(ids):
+        try:
+            terms[i] = (fiber_effectiveness(kernel, t, q).value * T.weight(t) ** (-1.0 / p)) ** k
+        except OverflowError:
+            raise NonFiniteResultError(
+                f"set function term of atom {t!r} is not finite (overflow in the arithmetic)"
+            ) from None
+    return terms
+
+
+def _ordered_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... added left to right, as a ``total +=`` loop adds
+    them; np.sum adds pairwise, which changes the last bits."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
 def phi_value(kernel: OperatorKernel, subset, p, q) -> PhiValue:
     """The set function Phi(A) = ||M_F restricted to A||^kappa.
 
     Additive over disjoint subsets by construction (the decoupled norm
-    is an atom-wise power sum); undefined for p = q, where kappa is
-    infinite.
+    is an atom-wise power sum, added here in the canonical atom order);
+    undefined for p = q, where kappa is infinite.
     """
     p, q, k = _finite_pair(p, q)
     if math.isinf(k):
         raise UnsupportedExponentsError("the set function needs p > q (finite kappa)")
     T = kernel.relation.target
     subset = frozenset(subset)
-    unknown = subset - set(T.ids)
+    unknown = [t for t in subset if t not in T]
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
-    total = 0.0
-    try:
-        for t in sorted(subset):
-            c = fiber_effectiveness(kernel, t, q).value
-            total += (c * T.weight(t) ** (-1.0 / p)) ** k
-    except OverflowError:
-        total = math.inf
-    return PhiValue(subset, total)
+    return PhiValue(subset, _ordered_sum(_phi_terms(kernel, sorted(subset), p, q, k)))
 
 
 def phi_derivative(kernel: OperatorKernel, t_id: str, p, q) -> float:
     """Per-atom derivative Phi'(t) = Phi({t}) / mu_t (atomic balls are atoms)."""
     return phi_value(kernel, [t_id], p, q).value / kernel.relation.target.weight(t_id)
+
+
+def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int) -> float:
+    """Max relative violation of additivity, of monotonicity along prefix
+    unions, and of the derivative identity sum_{t in A} Phi'(t) mu_t =
+    Phi(A), over the seeded random partitions ``random_partition(T.ids,
+    seed * 100003 + j)``, j < partitions, divided by Phi(T).
+
+    Each law holds exactly, so the value measures the rounding between
+    summation routes of one additive sum.  Every quantity is summed from
+    one vector of the terms Phi({t}): a set function value in ascending
+    atom order (as ``phi_value`` adds it), the derivative sum of a prefix
+    in the order its blocks were inserted.
+    """
+    p, q, k = _finite_pair(p, q)
+    if math.isinf(k):
+        raise UnsupportedExponentsError("the set function needs p > q (finite kappa)")
+    T = kernel.relation.target
+    terms = _phi_terms(kernel, T.ids, p, q, k)
+    phi_total = PhiValue(frozenset(T.ids), _ordered_sum(terms)).value
+    denom = phi_total if phi_total > 0 else 1.0
+    with np.errstate(over="ignore"):
+        moments = terms / T.weights * T.weights  # phi_derivative(t) * mu_t
+    worst = 0.0
+    for j in range(partitions):
+        labels = random_partition_labels(len(T.ids), seed * 100003 + j)
+        sizes = np.bincount(labels)
+        blocks = np.flatnonzero(sizes)
+        block_values = [_ordered_sum(terms[labels == b]) for b in blocks]
+        worst = max(worst, abs(sum(block_values) - phi_total) / denom)
+        inserted = moments[np.argsort(labels, kind="stable")].tolist()
+        ends = np.cumsum(sizes[blocks]).tolist()
+        prev = 0.0
+        for b, end in zip(blocks, ends):
+            current = _ordered_sum(terms[labels <= b])
+            worst = max(worst, max(0.0, prev - current) / denom)
+            prev = current
+            # the builtin sum, as sum(phi_derivative(t) * mu_t for t in prefix)
+            # adds (compensated from Python 3.12 on)
+            deriv_sum = sum(inserted[:end])
+            worst = max(worst, abs(deriv_sum - current) / denom)
+    return worst
 
 
 # ---------------------------------------------------------------------------

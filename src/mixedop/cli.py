@@ -33,8 +33,7 @@ from pathlib import Path
 from .boundedness import (
     criterion_general_result,
     exact_norm_decoupled,
-    phi_derivative,
-    phi_value,
+    phi_audit_violation,
     sandwich_report,
 )
 from .errors import (
@@ -43,7 +42,7 @@ from .errors import (
     ScenarioError,
     UnsupportedExponentsError,
 )
-from .generators import random_density, random_partition
+from .generators import random_density
 from .kernels import kappa
 from .measure import integrate_change_of_variables
 from .mixedcomp import criterion_mixed_composition, direct_integral_instance
@@ -127,31 +126,6 @@ def _reject_reason(p: float, q: float, alpha: float | None = None, beta: float |
     return None
 
 
-def _phi_audit_value(kernel, p: float, q: float, partitions: int, seed: int) -> float:
-    """Max relative violation of additivity, monotonicity along prefix
-    unions, and the derivative inequality/equality, over seeded random
-    partitions of T."""
-    ids = list(kernel.relation.target.ids)
-    mu = kernel.relation.target
-    phi_total = phi_value(kernel, ids, p, q).value
-    denom = phi_total if phi_total > 0 else 1.0
-    worst = 0.0
-    for k in range(partitions):
-        blocks = random_partition(ids, seed * 100003 + k)
-        block_values = [phi_value(kernel, b, p, q).value for b in blocks]
-        worst = max(worst, abs(sum(block_values) - phi_total) / denom)
-        prefix: list[str] = []
-        prev = 0.0
-        for block in blocks:
-            prefix.extend(block)
-            current = phi_value(kernel, prefix, p, q).value
-            worst = max(worst, max(0.0, prev - current) / denom)
-            prev = current
-            deriv_sum = sum(phi_derivative(kernel, t, p, q) * mu.weight(t) for t in prefix)
-            worst = max(worst, abs(deriv_sum - current) / denom)
-    return worst
-
-
 def _execute_check(
     sc: Scenario,
     check: Check,
@@ -195,7 +169,7 @@ def _execute_check(
             upper_certificate=rep.upper_certificate,
         )
     elif kind == "phi_audit":
-        worst = _phi_audit_value(sc.kernel_for(check), p, q, check.partitions, seed)
+        worst = phi_audit_violation(sc.kernel_for(check), p, q, check.partitions, seed)
         row.update(value=worst)
         if not (worst <= tolerance):
             row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")

@@ -131,14 +131,19 @@ def random_subset(ids, seed: int, keep_probability: float = 0.5) -> list[str]:
     return [i for i in ids if g.uniform() < keep_probability]
 
 
-def random_partition(ids, seed: int, max_parts: int = 4) -> list[list[str]]:
-    """Disjoint blocks covering all ids (empty blocks dropped)."""
-    ids = list(ids)
+def random_partition_labels(n: int, seed: int, max_parts: int = 4) -> np.ndarray:
+    """The block label of each of n items under ``random_partition``."""
     g = _stream(seed, 11)
     k = int(g.integers(1, max_parts + 1))
-    labels = g.integers(k, size=len(ids))
-    blocks = [[i for i, lab in zip(ids, labels) if lab == b] for b in range(k)]
-    return [b for b in blocks if b]
+    return g.integers(k, size=n)
+
+
+def random_partition(ids, seed: int, max_parts: int = 4) -> list[list[str]]:
+    """Disjoint blocks covering all ids (empty blocks dropped), in label
+    order, each block in the order of ``ids``."""
+    ids = list(ids)
+    labels = random_partition_labels(len(ids), seed, max_parts)
+    return [[ids[i] for i in np.flatnonzero(labels == b)] for b in np.flatnonzero(np.bincount(labels))]
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def _kernel_matrices(
                 raise ScenarioError(f"{where}: diagonal generator needs square fibers matching the diag length")
             mats[(s, t)] = np.diag(diag)
         elif kind == "random":
-            seed = int(gen.get("seed", 0))
+            seed = _expect_count(gen.get("seed", 0), 0, f"{where}.generator.seed")
             scale = parse_number(gen.get("scale", 1.0), f"{where}.generator.scale")
             g = substream(seed, GENERATOR_TAG, i)
             mats[(s, t)] = scale * g.standard_normal(shape)

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedop import (
     EXACT,
     INF,
     AtomMap,
     DensityFn,
+    FiberFamily,
     FiniteMeasureSpace,
     HypothesisViolationError,
     NotInjectiveError,
     OperatorKernel,
+    UnknownAtomError,
     UnsupportedExponentsError,
     WeightedRelation,
     criterion_general_result,
@@ -21,7 +25,9 @@ from mixedop import (
     criterion_uniform_bounds,
     criterion_uniform_t,
     exact_norm_decoupled,
+    fiber_effectiveness,
     graph_relation,
+    kappa,
     oracle_norm_sampling,
     phi_derivative,
     phi_value,
@@ -29,14 +35,18 @@ from mixedop import (
     scalar_family,
     section_ratios,
 )
+from mixedop.boundedness import phi_audit_violation
 from mixedop.generators import (
     identity_instance,
     projection_gap_instance,
     random_graph_instance,
     random_instance,
+    random_partition,
     random_scalar_instance,
+    random_subset,
     scalar17_instance,
 )
+from mixedop.rng import GENERATOR_TAG, substream
 
 from helpers import scalar_ratio_brute
 
@@ -265,6 +275,145 @@ class TestPhiDerivative:
         assert phi_derivative(ker2, "t1", 4, 2) == pytest.approx(
             phi_value(ker2, ["t1"], 4, 2).value / 2.0, rel=1e-15
         )
+
+
+def _reference_phi_value(kernel, subset, p, q) -> float:
+    """Phi(A) added term by term over the sorted subset."""
+    k = kappa(p, q)
+    T = kernel.relation.target
+    total = 0.0
+    for t in sorted(frozenset(subset)):
+        c = fiber_effectiveness(kernel, t, q).value
+        total += (c * T.weight(t) ** (-1.0 / p)) ** k
+    return total
+
+
+def _reference_phi_derivative(kernel, t_id, p, q) -> float:
+    return _reference_phi_value(kernel, [t_id], p, q) / kernel.relation.target.weight(t_id)
+
+
+def _reference_partition(ids, seed: int) -> list[list[str]]:
+    """The blocks of random_partition, built label by label."""
+    ids = list(ids)
+    g = substream(seed, GENERATOR_TAG, 11)
+    k = int(g.integers(1, 5))
+    labels = g.integers(k, size=len(ids))
+    blocks = [[i for i, lab in zip(ids, labels) if lab == b] for b in range(k)]
+    return [b for b in blocks if b]
+
+
+def _reference_phi_audit(kernel, p: float, q: float, partitions: int, seed: int) -> float:
+    """The audit as one phi_value / phi_derivative call per block, prefix
+    and atom: the loop phi_audit_violation must reproduce bit for bit."""
+    ids = list(kernel.relation.target.ids)
+    mu = kernel.relation.target
+    phi_total = _reference_phi_value(kernel, ids, p, q)
+    denom = phi_total if phi_total > 0 else 1.0
+    worst = 0.0
+    for k in range(partitions):
+        blocks = _reference_partition(ids, seed * 100003 + k)
+        block_values = [_reference_phi_value(kernel, b, p, q) for b in blocks]
+        worst = max(worst, abs(sum(block_values) - phi_total) / denom)
+        prefix: list[str] = []
+        prev = 0.0
+        for block in blocks:
+            prefix.extend(block)
+            current = _reference_phi_value(kernel, prefix, p, q)
+            worst = max(worst, max(0.0, prev - current) / denom)
+            prev = current
+            deriv_sum = sum(_reference_phi_derivative(kernel, t, p, q) * mu.weight(t) for t in prefix)
+            worst = max(worst, abs(deriv_sum - current) / denom)
+    return worst
+
+
+PQ_ABOVE = [(4.0, 2.0), (3.0, 2.0), (3.0, 1.5), (2.0, 1.0), (4.0, 3.0), (6.0, 1.5), (2.5, 1.0)]
+
+
+def _phi_instance(seed: int, scalar: bool):
+    if scalar:
+        return random_scalar_instance(seed, max_atoms=40)
+    return random_instance(seed, max_atoms=10, max_dim=3)
+
+
+class TestPhiAudit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        scalar=st.booleans(),
+        pq=st.sampled_from(PQ_ABOVE),
+        partitions=st.integers(1, 10),
+        audit_seed=st.integers(0, 10**4),
+    )
+    def test_equals_reference_loop(self, seed, scalar, pq, partitions, audit_seed):
+        ker = _phi_instance(seed, scalar)
+        p, q = pq
+        got = phi_audit_violation(ker, p, q, partitions, audit_seed)
+        assert got == _reference_phi_audit(ker, p, q, partitions, audit_seed)
+        ids = ker.relation.target.ids
+        subset = ids[::2]
+        assert phi_value(ker, subset, p, q).value == _reference_phi_value(ker, subset, p, q)
+        assert phi_derivative(ker, ids[-1], p, q) == _reference_phi_derivative(ker, ids[-1], p, q)
+
+    def test_partition_matches_reference(self):
+        ids = [f"t{i:03d}" for i in range(50)]
+        for seed in range(20):
+            assert random_partition(ids, seed) == _reference_partition(ids, seed)
+
+    def test_p_equals_q_rejected(self):
+        with pytest.raises(UnsupportedExponentsError):
+            phi_audit_violation(scalar17_instance(), 2, 2, 5, 0)
+
+    def test_unknown_atom_rejected(self):
+        with pytest.raises(UnknownAtomError, match=r"unknown atoms \['zz'\]"):
+            phi_value(scalar17_instance(), ["t1", "zz"], 4, 2)
+
+
+def _scaled_lambda(ker, c: float):
+    rel = ker.relation
+    scaled = WeightedRelation(rel.source, rel.target, [(s, t, c * w) for s, t, w in rel.items()])
+    return OperatorKernel(scaled, ker.domain_family, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
+
+
+def _scaled_mu(ker, c: float):
+    rel = ker.relation
+    T = FiniteMeasureSpace({t: c * w for t, w in rel.target.items()})
+    scaled = WeightedRelation(rel.source, T, list(rel.items()))
+    W = FiberFamily(T, {t: ker.domain_family.norm(t) for t in T.ids})
+    return OperatorKernel(scaled, W, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
+
+
+class TestPhiMetamorphic:
+    """Scaling laws of Phi on exact-certificate (scalar-fiber) instances."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        pq=st.sampled_from(PQ_ABOVE),
+        c=st.sampled_from([1e-3, 0.5, 2.0, 3.7, 250.0]),
+        subset_seed=st.integers(0, 10**4),
+    )
+    def test_scaling_laws(self, seed, pq, c, subset_seed):
+        ker = random_scalar_instance(seed, max_atoms=20)
+        p, q = pq
+        k = kappa(p, q)
+        assert exact_norm_decoupled(ker, p, q).certificate == EXACT
+        subset = random_subset(ker.relation.target.ids, subset_seed)
+        base = phi_value(ker, subset, p, q).value
+        lam = phi_value(_scaled_lambda(ker, c), subset, p, q).value
+        assert lam == pytest.approx(c ** (k / q) * base, rel=1e-12, abs=0.0)
+        mu = phi_value(_scaled_mu(ker, c), subset, p, q).value
+        assert mu == pytest.approx(c ** (-k / p) * base, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), pq=st.sampled_from(PQ_ABOVE), subset_seed=st.integers(0, 10**4))
+    def test_monotone_under_one_more_atom(self, seed, pq, subset_seed):
+        ker = random_scalar_instance(seed, max_atoms=20)
+        p, q = pq
+        ids = ker.relation.target.ids
+        subset = random_subset(ids, subset_seed)
+        smaller = phi_value(ker, subset, p, q).value
+        for t in ids:
+            assert smaller <= phi_value(ker, [*subset, t], p, q).value
 
 
 class TestOracle:

@@ -212,6 +212,18 @@ class TestRunVerb:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [2.7, True, "7", -1])
+    def test_bad_random_generator_seed_exits_1(self, tmp_path, capsys, seed):
+        data = _minimal_scenario()
+        data["kernels"]["P"] = {"relation": "lam", "domain": "W", "codomain": "V",
+                                "generator": {"kind": "random", "seed": seed}}
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kernels.P.generator.seed" in captured.err and ">= 0" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry, kind", [(1e200, "exact_norm"), (1e200, "sandwich"), (1e100, "phi_audit")])
     def test_non_finite_result_exits_1(self, tmp_path, capsys, entry, kind):
         out = tmp_path / "out.csv"
