@@ -39,13 +39,12 @@ from .kernels import (
     LOWER_BOUND,
     NormResult,
     OperatorKernel,
-    effectiveness_objective,
     fiber_effectiveness,
     kappa,
     pointwise_norm_aggregate,
 )
 from .measure import AtomMap, DensityFn, pushforward_volume_derivative
-from .rng import ORACLE_TAG, SECTION_TAG, substream
+from .rng import SECTION_TAG, substream
 
 EQUALITY_TOL = 1e-9
 EXACT_SLACK = 1e-9
@@ -343,29 +342,20 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
 # oracles
 # ---------------------------------------------------------------------------
 
-def _unit_rows(raw: np.ndarray, norm) -> np.ndarray:
-    norms = norm.row_norms(raw)
-    dead = norms == 0
-    if np.any(dead):
-        raw = raw.copy()
-        raw[dead] = 0.0
-        raw[dead, 0] = 1.0
-        norms = norm.row_norms(raw)
-    return raw / norms[:, None]
-
-
 def _profile_ratios(X: np.ndarray, k: float) -> np.ndarray:
     """Closed-form magnitude optimization per sample column.
 
     X holds c~(t) mu_t^(-1/p) per atom (rows) and sample (columns); the
     optimal ratio is the column ell^kappa aggregate (max when kappa is
     infinite), by the Holder equality choice of the magnitude profile.
+    Overwrites X.
     """
     if math.isinf(k):
         return X.max(axis=0) if X.size else np.zeros(X.shape[1])
     M = X.max(axis=0)
-    safe = np.where(M > 0, M, 1.0)
-    return M * np.sum((X / safe) ** k, axis=0) ** (1.0 / k)
+    X /= np.where(M > 0, M, 1.0)
+    X **= k
+    return M * np.sum(X, axis=0) ** (1.0 / k)
 
 
 def oracle_norm_sampling(
@@ -377,7 +367,9 @@ def oracle_norm_sampling(
     stream per atom, so parallel evaluation order cannot change the
     result), optimizes the magnitude profile in closed form, and takes
     the best sample.  On scalar fibers directions are just signs, so a
-    single sample is already exact.
+    single sample is already exact.  The per-atom values do not depend
+    on p: the kernel keeps them per (q, seed, samples), and only the row
+    factors mu_t^(-1/p) are applied per call.
     """
     p, q, k = _finite_pair(p, q)
     n = int(n_samples)
@@ -386,15 +378,11 @@ def oracle_norm_sampling(
     T = kernel.relation.target
     if not len(T.ids):
         return 0.0
-    X = np.zeros((len(T.ids), n))
-    for i, t in enumerate(T.ids):
-        if not kernel.relation.pairs_for_target(t):
-            continue
-        W = kernel.domain_family.norm(t)
-        raw = substream(seed, ORACLE_TAG, i).standard_normal((n, W.dim))
-        E = _unit_rows(raw, W)
-        X[i] = effectiveness_objective(kernel, t, q)(E) * T.weight(t) ** (-1.0 / p)
-    return float(np.max(_profile_ratios(X, k)))
+    C = kernel.oracle_samples(q, seed, n)
+    factors = np.array(
+        [T.weight(t) ** (-1.0 / p) if kernel.relation.pairs_for_target(t) else 0.0 for t in T.ids]
+    )
+    return float(np.max(_profile_ratios(C * factors[:, None], k)))
 
 
 def section_ratios(

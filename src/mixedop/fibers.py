@@ -121,11 +121,6 @@ class NormSpec:
         return f"NormSpec(r={self.r}, dim={self.dim})"
 
 
-def euclidean(dim: int) -> NormSpec:
-    """Unit-weight l2 norm in the given dimension."""
-    return NormSpec(2, np.ones(dim))
-
-
 def fiber_norm(v, spec: NormSpec) -> float:
     """Evaluate a weighted r-norm on one vector."""
     v = np.asarray(v, dtype=float)

@@ -52,14 +52,6 @@ def random_relation(
     return WeightedRelation(S, T, pairs)
 
 
-def random_norm_spec(
-    dim: int, seed: int, exponents: tuple = DEFAULT_EXPONENTS
-) -> NormSpec:
-    g = _stream(seed, 2)
-    r = exponents[int(g.integers(len(exponents)))]
-    return NormSpec(r, g.uniform(0.5, 2.0, dim))
-
-
 def random_fiber_family(
     base: FiniteMeasureSpace,
     seed: int,

@@ -38,7 +38,7 @@ from .fibers import (
     weighted_power_sum,
 )
 from .measure import AtomMap, WeightedRelation
-from .rng import START_TAG, substream
+from .rng import ORACLE_TAG, START_TAG, substream
 
 INF = math.inf
 
@@ -69,7 +69,11 @@ def kappa(p, q) -> float:
         return INF
     if math.isinf(p):
         raise UnsupportedExponentsError("p = inf is supported only when p = q")
-    return p * q / (p - q)
+    product = p * q
+    if math.isinf(product):
+        # a huge finite p overflows p q; this form needs no product
+        return q / (1.0 - q / p)
+    return product / (p - q)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,10 @@ class OperatorKernel:
     codomain fiber V_s, for every pair of a weighted relation.
 
     The kernel bundles the relation (F, lambda) and both fiber families,
-    which together form a complete mixed-operator instance.
+    which together form a complete mixed-operator instance.  It owns the
+    caches of everything computed from it: the induced matrix norms, the
+    fiber effectiveness c(t) per q, and the sampling oracle's per-atom
+    values per (q, seed, samples).
     """
 
     def __init__(
@@ -118,24 +125,51 @@ class OperatorKernel:
             if missing:
                 raise MissingPairError(f"matrices missing for pairs {missing[:5]}")
             raise ValueError(f"matrices given for pairs outside the relation: {sorted(given - wanted)[:5]}")
-        mats = {}
-        for (s, t) in relation.pairs:
+        pairs = relation.pairs
+        in_dims = {t: W.dim for t, W in domain_family.items()}
+        out_dims = {s: V.dim for s, V in codomain_family.items()}
+        by_shape: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+        misshaped = None
+        for i, (s, t) in enumerate(pairs):
             a = np.atleast_2d(np.asarray(matrices[(s, t)], dtype=float))
-            want = (codomain_family.dim(s), domain_family.dim(t))
+            want = (out_dims[s], in_dims[t])
             if a.shape != want:
-                raise DimensionMismatchError(
-                    f"matrix at ({s!r}, {t!r}) has shape {a.shape}, expected {want}"
-                )
-            if not np.isfinite(a).all():
-                raise ValueError(f"matrix at ({s!r}, {t!r}) has a non-finite entry")
-            a.flags.writeable = False
-            mats[(s, t)] = a
+                misshaped = (i, a.shape, want)
+                break
+            idx, arrays = by_shape.setdefault(want, ([], []))
+            idx.append(i)
+            arrays.append(a)
+        # the pairs of each shape as one read-only stack, each group's
+        # arrays dropped once stacked so that the copies never all exist
+        # at once; the first pair in pair order that fails either check
+        # names the error
+        stacks = []
+        non_finite = len(pairs)
+        for idx, arrays in by_shape.values():
+            stack = np.stack(arrays)
+            arrays.clear()
+            if not np.isfinite(stack).all():
+                finite = np.isfinite(stack).all(axis=(1, 2))
+                non_finite = min(non_finite, idx[int(np.argmin(finite))])
+            stack.flags.writeable = False
+            stacks.append((stack, idx))
+        if misshaped is not None and misshaped[0] < non_finite:
+            i, shape, want = misshaped
+            raise DimensionMismatchError(
+                f"matrix at ({pairs[i][0]!r}, {pairs[i][1]!r}) has shape {shape}, expected {want}"
+            )
+        if non_finite < len(pairs):
+            s, t = pairs[non_finite]
+            raise ValueError(f"matrix at ({s!r}, {t!r}) has a non-finite entry")
         self.relation = relation
         self.domain_family = domain_family
         self.codomain_family = codomain_family
-        self._matrices = mats
+        self._stacks = stacks
+        self._matrices = {pairs[i]: stack[j] for stack, idx in stacks for j, i in enumerate(idx)}
         self._norm_cache: dict[tuple[str, str], NormResult] = {}
+        self._closed_forms_filled = False
         self._eff_cache: dict[tuple[str, float], NormResult] = {}
+        self._sample_cache: dict[tuple[float, int, int], np.ndarray] = {}
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -148,15 +182,109 @@ class OperatorKernel:
             raise MissingPairError(f"pair ({s_id!r}, {t_id!r}) not in relation") from None
 
     def matrix_norm(self, s_id: str, t_id: str) -> NormResult:
-        """Induced norm of P(s, t) from W_t to V_s (cached)."""
+        """Induced norm of P(s, t) from W_t to V_s (cached).
+
+        The first miss fills every pair with a closed form in one
+        stacked pass; any other pair is computed on its own miss.
+        """
         key = (s_id, t_id)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = matrix_operator_norm(
+        cached = self._norm_cache.get(key)
+        if cached is None and not self._closed_forms_filled:
+            self._closed_forms_filled = True
+            self._fill_closed_forms()
+            cached = self._norm_cache.get(key)
+        if cached is None:
+            cached = self._norm_cache[key] = matrix_operator_norm(
                 self.matrix(s_id, t_id),
                 self.domain_family.norm(t_id),
                 self.codomain_family.norm(s_id),
             )
-        return self._norm_cache[key]
+        return cached
+
+    def _fill_closed_forms(self) -> None:
+        """Cache the norm of every pair that has a closed form, stacked by
+        (out dim, in dim, a, b); ``matrix_operator_norm`` computes each
+        with the same ``_closed_form_norms`` on a stack of one.
+
+        A pair whose weight-conjugated matrix or norm is not finite is
+        left to its own miss, which reports it as before.
+        """
+        pairs = self.relation.pairs
+        ins = {t: (W.r, W.scale()) for t, W in self.domain_family.items()}
+        outs = {s: (V.r, V.scale()) for s, V in self.codomain_family.items()}
+        for stack, idx in self._stacks:
+            groups: dict[tuple[float, float], list[int]] = {}
+            for j, i in enumerate(idx):
+                s, t = pairs[i]
+                groups.setdefault((ins[t][0], outs[s][0]), []).append(j)
+            for (a, b), js in groups.items():
+                members = [pairs[idx[j]] for j in js]
+                out_scale = np.stack([outs[s][1] for s, _ in members])
+                in_scale = np.stack([ins[t][1] for _, t in members])
+                B = (out_scale[:, :, None] * stack[js]) / in_scale[:, None, :]
+                keep = np.isfinite(B).all(axis=(1, 2))
+                values = _closed_form_norms(B[keep], a, b)
+                if values is None:
+                    # no closed form: only the zero matrices are known
+                    keep &= ~B.any(axis=(1, 2))
+                    values = np.zeros(int(keep.sum()))
+                kept = [pair for pair, k in zip(members, keep) if k]
+                for pair, value in zip(kept, values.tolist()):
+                    if math.isfinite(value):
+                        self._norm_cache[pair] = NormResult(value, EXACT)
+
+    def effectiveness(self, t_id: str, q: float) -> NormResult:
+        """c(t) at a validated finite q (cached); a miss solves every
+        uncached target of the kernel at this q (``fiber_effectiveness``)."""
+        key = (t_id, q)
+        cached = self._eff_cache.get(key)
+        if cached is None:
+            if t_id not in self.relation.target:
+                raise UnknownAtomError(f"unknown atom {t_id!r}")
+            self._fill_effectiveness(q)
+            cached = self._eff_cache[key]
+        return cached
+
+    def _fill_effectiveness(self, q: float) -> None:
+        """Cache c(t) at q for every target of the kernel not cached yet,
+        the ascent problems batched by the dimension and exponent of W_t."""
+        cache = self._eff_cache
+        batches: dict[tuple[int, float], list] = {}
+        for t in self.relation.target.ids:
+            if (t, q) in cache:
+                continue
+            built = _effectiveness_problem(self, t, q)
+            if isinstance(built, NormResult):
+                cache[(t, q)] = built
+            else:
+                W = self.domain_family.norm(t)
+                batches.setdefault((W.dim, W.r), []).append((t, built))
+        for (_, a), items in batches.items():
+            values = _ascent([problem for _, problem in items], a, q)
+            for (t, _), value in zip(items, values):
+                cache[(t, q)] = NormResult(float(value), LOWER_BOUND)
+
+    def oracle_samples(self, q: float, seed: int, samples: int) -> np.ndarray:
+        """The sampling oracle's p-free values (cached per (q, seed, samples)):
+        row i holds the objective of ``effectiveness_objective`` at the
+        ``samples`` seeded unit directions of target i (``T.ids`` order),
+        zero for an atom whose fiber is empty.  Read-only; |T| x samples
+        float64 entries.
+        """
+        key = (q, seed, samples)
+        C = self._sample_cache.get(key)
+        if C is None:
+            T = self.relation.target
+            C = np.zeros((len(T.ids), samples))
+            for i, t in enumerate(T.ids):
+                if not self.relation.pairs_for_target(t):
+                    continue
+                W = self.domain_family.norm(t)
+                raw = substream(seed, ORACLE_TAG, i).standard_normal((samples, W.dim))
+                C[i] = effectiveness_objective(self, t, q)(_unit_rows(raw, W))
+            C.flags.writeable = False
+            self._sample_cache[key] = C
+        return C
 
     def scaled(self, factor: float) -> "OperatorKernel":
         """A new kernel with every matrix multiplied by ``factor``."""
@@ -402,15 +530,44 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
     a, b = in_norm.r, out_norm.r
     if not np.any(B):
         return NormResult(0.0, EXACT)
-    if B.shape[1] == 1:
-        return NormResult(ell_power_sum(B[:, 0], b), EXACT)
-    if a == 1.0:
-        return NormResult(max(ell_power_sum(B[:, j], b) for j in range(B.shape[1])), EXACT)
-    if math.isinf(b):
-        return NormResult(max(ell_power_sum(B[i, :], _dual(a)) for i in range(B.shape[0])), EXACT)
-    if a == 2.0 and b == 2.0:
-        return NormResult(float(np.linalg.svd(B, compute_uv=False)[0]), EXACT)
+    values = _closed_form_norms(B[None], a, b)
+    if values is not None:
+        return NormResult(float(values[0]), EXACT)
     return NormResult(float(_ascent([([B], [b], np.ones(1))], a, 1.0)[0]), LOWER_BOUND)
+
+
+def _ell_power_sums(V: np.ndarray, r: float) -> np.ndarray:
+    """``ell_power_sum`` of every vector along the last axis, bit for bit:
+    the same max factoring and elementwise power, a per-row ``np.sum`` on
+    a C-contiguous array, and the final root as a Python float operation
+    (an array power rounds differently)."""
+    V = np.ascontiguousarray(np.abs(V))
+    M = V.max(axis=-1)
+    if math.isinf(r):
+        return M
+    S = ((V / np.where(M > 0, M, 1.0)[..., None]) ** r).sum(axis=-1)
+    e = 1.0 / r
+    roots = [m * s ** e for m, s in zip(M.ravel().tolist(), S.ravel().tolist())]
+    return np.array(roots).reshape(M.shape)
+
+
+def _closed_form_norms(B: np.ndarray, a: float, b: float) -> np.ndarray | None:
+    """Induced a -> b norms of a stack of unweighted matrices, when their
+    shape and exponents have a closed form, else None.
+
+    The branches: one input dimension; a = 1 (signed basis vertices);
+    b = inf (independent rows, dual norms); l2 -> l2 (largest singular
+    value).  Each gives 0 on a zero matrix.
+    """
+    if B.shape[2] == 1:
+        return _ell_power_sums(B[:, :, 0], b)
+    if a == 1.0:
+        return _ell_power_sums(np.swapaxes(B, 1, 2), b).max(axis=1)
+    if math.isinf(b):
+        return _ell_power_sums(B, _dual(a)).max(axis=1)
+    if a == 2.0 and b == 2.0:
+        return np.linalg.svd(B, compute_uv=False)[:, 0]
+    return None
 
 
 def matrix_norm_objective(
@@ -428,6 +585,18 @@ def matrix_norm_objective(
 # ---------------------------------------------------------------------------
 # fiber effectiveness
 # ---------------------------------------------------------------------------
+
+def _unit_rows(raw: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """The rows of ``raw`` scaled to unit norm; a zero row becomes e_1."""
+    norms = norm.row_norms(raw)
+    dead = norms == 0
+    if np.any(dead):
+        raw = raw.copy()
+        raw[dead] = 0.0
+        raw[dead, 0] = 1.0
+        norms = norm.row_norms(raw)
+    return raw / norms[:, None]
+
 
 def effectiveness_objective(
     kernel: OperatorKernel, t_id: str, q
@@ -469,33 +638,7 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     q = check_exponent(q)
     if math.isinf(q):
         raise UnsupportedExponentsError("fiber effectiveness needs finite q")
-    key = (t_id, q)
-    cached = kernel._eff_cache.get(key)
-    if cached is None:
-        if t_id not in kernel.relation.target:
-            raise UnknownAtomError(f"unknown atom {t_id!r}")
-        _fill_effectiveness(kernel, q)
-        cached = kernel._eff_cache[key]
-    return cached
-
-
-def _fill_effectiveness(kernel: OperatorKernel, q: float) -> None:
-    """Cache c(t) at q for every target of the kernel not cached yet."""
-    cache = kernel._eff_cache
-    batches: dict[tuple[int, float], list] = {}
-    for t in kernel.relation.target.ids:
-        if (t, q) in cache:
-            continue
-        built = _effectiveness_problem(kernel, t, q)
-        if isinstance(built, NormResult):
-            cache[(t, q)] = built
-        else:
-            W = kernel.domain_family.norm(t)
-            batches.setdefault((W.dim, W.r), []).append((t, built))
-    for (_, a), items in batches.items():
-        values = _ascent([problem for _, problem in items], a, q)
-        for (t, _), value in zip(items, values):
-            cache[(t, q)] = NormResult(float(value), LOWER_BOUND)
+    return kernel.effectiveness(t_id, q)
 
 
 def _effectiveness_problem(

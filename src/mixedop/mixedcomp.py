@@ -64,10 +64,6 @@ class MixedDomain:
         except KeyError:
             raise UnknownAtomError(f"unknown outer atom {outer_id!r}") from None
 
-    @property
-    def nonempty_outer_ids(self) -> tuple[str, ...]:
-        return tuple(s for s in self.outer.ids if self._slices[s])
-
     def __len__(self) -> int:
         return len(self.cells)
 

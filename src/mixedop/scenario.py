@@ -178,7 +178,7 @@ def _kernel_matrices(
             if len(entry) != 3:
                 raise ScenarioError(f"{where}: matrix entries are [s, t, rows]")
             s, t, rows = entry
-            mats[(s, t)] = np.asarray(rows, dtype=float)
+            mats[(s, t)] = rows  # converted once, by OperatorKernel
         return mats
     gen = _expect_mapping(cfg.get("generator", {}), f"{where}.generator")
     kind = gen.get("kind")
@@ -316,6 +316,9 @@ def _load_checks(data: dict) -> list[Check]:
         kind = cfg.get("kind")
         if kind not in CHECK_KINDS:
             raise ScenarioError(f"{where}: unknown kind {kind!r} (one of {CHECK_KINDS})")
+        for name in ("kernel", "mapping", "density"):
+            if cfg.get(name) is not None and not isinstance(cfg[name], str):
+                raise ScenarioError(f"{where}.{name}: expected a name string, got {cfg[name]!r}")
         exponents = []
         for j, entry in enumerate(_expect_list(cfg.get("exponents", []), f"{where}.exponents")):
             entry = _expect_list(entry, f"{where}.exponents[{j}]")

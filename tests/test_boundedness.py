@@ -36,6 +36,7 @@ from mixedop import (
     section_ratios,
 )
 from mixedop.boundedness import phi_audit_violation
+from mixedop.kernels import effectiveness_objective
 from mixedop.generators import (
     identity_instance,
     projection_gap_instance,
@@ -46,7 +47,7 @@ from mixedop.generators import (
     random_subset,
     scalar17_instance,
 )
-from mixedop.rng import GENERATOR_TAG, substream
+from mixedop.rng import GENERATOR_TAG, ORACLE_TAG, substream
 
 from helpers import scalar_ratio_brute
 
@@ -416,7 +417,53 @@ class TestPhiMetamorphic:
             assert smaller <= phi_value(ker, [*subset, t], p, q).value
 
 
+def _reference_oracle(kernel, p, q, n, seed):
+    """The sampling oracle as one loop over atoms with every value
+    recomputed per call: the arithmetic that the kernel's kept samples
+    must reproduce bit for bit."""
+    k = kappa(p, q)
+    T = kernel.relation.target
+    X = np.zeros((len(T.ids), n))
+    for i, t in enumerate(T.ids):
+        if not kernel.relation.pairs_for_target(t):
+            continue
+        W = kernel.domain_family.norm(t)
+        raw = substream(seed, ORACLE_TAG, i).standard_normal((n, W.dim))
+        norms = W.row_norms(raw)
+        dead = norms == 0
+        if np.any(dead):
+            raw = raw.copy()
+            raw[dead] = 0.0
+            raw[dead, 0] = 1.0
+            norms = W.row_norms(raw)
+        E = raw / norms[:, None]
+        X[i] = effectiveness_objective(kernel, t, q)(E) * T.weight(t) ** (-1.0 / p)
+    if math.isinf(k):
+        return float(np.max(X.max(axis=0)))
+    M = X.max(axis=0)
+    safe = np.where(M > 0, M, 1.0)
+    return float(np.max(M * np.sum((X / safe) ** k, axis=0) ** (1.0 / k)))
+
+
 class TestOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        instance=st.integers(0, 10_000),
+        q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 7, 64]),
+    )
+    def test_kept_samples_equal_reference(self, instance, q, seed, n):
+        ps = [q, 1.5 * q, 3.0 * q]
+        for order in (ps, ps[::-1]):
+            ker = random_instance(instance, max_atoms=6, max_dim=3, density=0.5)
+            for p in order:
+                assert oracle_norm_sampling(ker, p, q, n, seed) == _reference_oracle(ker, p, q, n, seed)
+        # another q, seed or sample count must not read the kept entry
+        for other_q, other_seed, other_n in ((1.5 * q, seed, n), (q, seed + 1, n), (q, seed, n + 1)):
+            got = oracle_norm_sampling(ker, 3.0 * q, other_q, other_n, other_seed)
+            assert got == _reference_oracle(ker, 3.0 * q, other_q, other_n, other_seed)
+
     def test_identity_is_exact_at_any_sample_count(self):
         ker, _ = identity_instance(4, dim=2)
         assert oracle_norm_sampling(ker, 2, 2, 1, seed=0) == pytest.approx(1.0, rel=1e-12)

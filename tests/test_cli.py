@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mixedop
 from mixedop import ScenarioError, load_scenario
-from mixedop.cli import COLUMNS, STATUS_VIOLATION, _finish, _row, main
+from mixedop.cli import COLUMNS, STATUS_VIOLATION, _finish, _row, main, run
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+BUNDLED_REFS = ROOT / "perfbench" / "refs" / "bundled"
 
 
 def _write(tmp_path, data, name="scenario.json"):
@@ -289,6 +295,44 @@ class TestRunVerb:
         cov = [r for r in rows if r["check"] == "change_of_vars"]
         assert len(cov) == 1
         assert float(cov[0]["value"]) == float(cov[0]["lower"]) == 27.0
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("field, kind", [
+        ("kernel", "criterion"), ("mapping", "change_of_vars"), ("density", "change_of_vars"),
+    ])
+    def test_list_reference_exits_1(self, tmp_path, field, kind):
+        data = json.loads((SCENARIOS / "scalar17.json").read_text())
+        data["checks"] = [{"kind": kind, "exponents": [[4, 2]], field: ["P"]}]
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mixedop.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", _write(tmp_path, data), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"checks[0].{field}: expected a name string" in done.stderr
+        assert not out.exists()
+
+    def test_huge_finite_p_is_not_p_equals_q(self, tmp_path):
+        data = json.loads((SCENARIOS / "scalar17.json").read_text())
+        data["checks"] = [{"kind": "criterion", "exponents": [[1e308, 2], [2, 2]]}]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 0
+        huge, equal = (dict(zip(COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:])
+        assert (huge["kappa"], equal["kappa"]) == ("2", "inf")
+        assert huge["value"] != equal["value"]
+        # kappa = 2 and mu_t = 1: the l2 aggregate of |P| = (1, 2)
+        assert float(huge["value"]) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_csv_matches_reference_bytes(scenario, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run(str(scenario), out_path=str(out)) == 0
+    assert out.read_bytes() == (BUNDLED_REFS / f"{scenario.stem}.csv").read_bytes()
 
 
 class TestSweepVerb:

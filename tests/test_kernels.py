@@ -16,6 +16,7 @@ from mixedop import (
     FiniteMeasureSpace,
     InvalidExponentError,
     MissingPairError,
+    NonFiniteResultError,
     NormSpec,
     OperatorKernel,
     Section,
@@ -43,10 +44,12 @@ from mixedop.generators import (
     random_kernel,
     random_measure_space,
 )
+from mixedop.fibers import ell_power_sum
 from mixedop.kernels import (
     ASCENT_ITERATIONS,
     ASCENT_STARTS,
     ASCENT_TOL,
+    NormResult,
     _ascent,
     _ascent_starts,
     _col_norms,
@@ -68,6 +71,11 @@ class TestKappa:
         assert kappa(2, 2) == INF
         assert kappa(3, 1) == 1.5
         assert kappa(INF, INF) == INF
+
+    def test_huge_finite_p(self):
+        # p q overflows; kappa -> q as p -> inf
+        assert kappa(1e308, 2) == 2.0
+        assert kappa(1.7e308, 1.5) == 1.5
 
     def test_rejections(self):
         with pytest.raises(UnsupportedExponentsError):
@@ -222,6 +230,22 @@ class TestMatrixOperatorNorm:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             matrix_operator_norm(np.eye(2), _unit(3), _unit(2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_column_is_not_skipped(self):
+        # the weight-conjugated second column overflows to inf; the a = 1
+        # max over columns must not drop it and report the first column
+        W, V = NormSpec(1, [1.0, 1.0]), NormSpec(2, [1e20, 1.0])
+        A = [[1.0, 1e300], [1.0, 0.0]]
+        with pytest.raises(NonFiniteResultError):
+            matrix_operator_norm(A, W, V)
+        S, T = FiniteMeasureSpace({"s1": 1.0}), FiniteMeasureSpace({"t1": 1.0})
+        ker = OperatorKernel(
+            WeightedRelation(S, T, [("s1", "t1", 1.0)]),
+            FiberFamily(T, {"t1": W}), FiberFamily(S, {"s1": V}), {("s1", "t1"): A},
+        )
+        with pytest.raises(NonFiniteResultError):
+            ker.matrix_norm("s1", "t1")
 
     def test_zero_matrix(self):
         res = matrix_operator_norm(np.zeros((2, 3)), NormSpec(3, np.ones(3)), _unit(2))
@@ -470,6 +494,73 @@ class TestBatchedAscent:
             for t in ker.relation.target.ids:
                 alone = fiber_effectiveness(ker.restrict_targets([t]), t, 2.5)
                 assert fiber_effectiveness(ker, t, 2.5) == alone
+
+
+def _reference_matrix_norm(A, in_norm, out_norm):
+    """The closed forms as one matrix at a time, with Python-level
+    reductions: what the stacked per-kernel fill must reproduce bit for
+    bit.  None where the ascent takes over."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = (out_norm.scale()[:, None] * A) / in_norm.scale()[None, :]
+    a, b = in_norm.r, out_norm.r
+    if not np.any(B):
+        return NormResult(0.0, EXACT)
+    if B.shape[1] == 1:
+        return NormResult(ell_power_sum(B[:, 0], b), EXACT)
+    if a == 1.0:
+        return NormResult(max(ell_power_sum(B[:, j], b) for j in range(B.shape[1])), EXACT)
+    if math.isinf(b):
+        return NormResult(max(ell_power_sum(B[i, :], _dual(a)) for i in range(B.shape[0])), EXACT)
+    if a == 2.0 and b == 2.0:
+        return NormResult(float(np.linalg.svd(B, compute_uv=False)[0]), EXACT)
+    return None
+
+
+@st.composite
+def _closed_form_kernels(draw):
+    """All pairs between up to 6 x 6 atoms whose weighted fibers share a
+    few (dim, r) kinds, so several shape groups hold several matrices:
+    dims 1-4, r in {1, 1.5, 2, 3, inf}, dense, zero and rank-one
+    matrices over six orders of magnitude."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = st.tuples(st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+
+    def family(prefix):
+        kinds = draw(st.lists(kind, min_size=1, max_size=3))
+        base = FiniteMeasureSpace({f"{prefix}{i}": 1.0 for i in range(draw(st.integers(2, 6)))})
+        picks = draw(st.lists(st.sampled_from(kinds), min_size=len(base.ids), max_size=len(base.ids)))
+        return FiberFamily(base, {i: NormSpec(r, g.uniform(0.2, 5.0, d)) for i, (d, r) in zip(base.ids, picks)})
+
+    W, V = family("t"), family("s")
+    pairs = [(s, t) for s in V.base.ids for t in W.base.ids]
+    shapes = draw(st.lists(st.sampled_from(["dense", "zero", "rank1"]), min_size=len(pairs), max_size=len(pairs)))
+    mats = {}
+    for (s, t), shape in zip(pairs, shapes):
+        m, d = V.dim(s), W.dim(t)
+        if shape == "zero":
+            mats[(s, t)] = np.zeros((m, d))
+        elif shape == "rank1":
+            mats[(s, t)] = np.outer(g.standard_normal(m), g.standard_normal(d))
+        else:
+            mats[(s, t)] = g.standard_normal((m, d)) * 10.0 ** g.integers(-3, 4)
+    rel = WeightedRelation(V.base, W.base, [(s, t, 1.0) for s, t in pairs])
+    return OperatorKernel(rel, W, V, mats)
+
+
+class TestClosedFormFill:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel=_closed_form_kernels())
+    def test_fill_equals_reference(self, kernel):
+        expected = {}
+        for s, t in kernel.pairs:
+            W, V = kernel.domain_family.norm(t), kernel.codomain_family.norm(s)
+            ref = _reference_matrix_norm(kernel.matrix(s, t), W, V)
+            if ref is not None:
+                expected[(s, t)] = ref
+                assert matrix_operator_norm(kernel.matrix(s, t), W, V) == ref
+        kernel.matrix_norm(*kernel.pairs[0])
+        # one miss filled every closed form
+        assert {k: v for k, v in kernel._norm_cache.items() if k in expected} == expected
 
 
 class TestGridOracleSanity:
