@@ -36,12 +36,12 @@ from .fibers import check_exponent, ell_power_sum, lp_measure_norm
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
-    LOWER_BOUND,
     NormResult,
     OperatorKernel,
     fiber_effectiveness,
     kappa,
     pointwise_norm_aggregate,
+    weakest_certificate,
 )
 from .measure import AtomMap, DensityFn, pushforward_volume_derivative
 from .rng import SECTION_TAG, substream
@@ -127,8 +127,7 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     aggs = [pointwise_norm_aggregate(kernel, t, q) for t in T.ids]
     inner = np.array([a.value for a in aggs]) * T.weights ** (-1.0 / q)
     value = lp_measure_norm(inner, T.weights, k)
-    cert = EXACT if all(a.certificate == EXACT for a in aggs) else LOWER_BOUND
-    return NormResult(value, cert)
+    return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
 
 def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q, tol: float = 1e-9) -> float:
@@ -193,8 +192,7 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
         J = rel.weight(s, t) / T.weight(t)
         vals[i] = r.value * J ** (1.0 / q)
     value = lp_measure_norm(vals, T.weights, k)
-    cert = EXACT if all(c == EXACT for c in certs) else LOWER_BOUND
-    return NormResult(value, cert)
+    return NormResult(value, weakest_certificate(certs))
 
 
 def criterion_uniform_bounds(
@@ -247,8 +245,7 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
     x = np.array([e.value for e in effs]) * T.weights ** (-1.0 / p)
     value = ell_power_sum(x, k)
-    cert = EXACT if all(e.certificate == EXACT for e in effs) else LOWER_BOUND
-    return NormResult(value, cert)
+    return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
 
 def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> np.ndarray:
@@ -441,7 +438,7 @@ def sandwich_report(
         raise SandwichViolationError(
             f"oracle {oracle:.15g} exceeds decoupled norm {lower.value:.15g}"
         )
-    worst = LOWER_BOUND if LOWER_BOUND in (lower.certificate, upper.certificate) else EXACT
+    worst = weakest_certificate((lower.certificate, upper.certificate))
     if not (lower.value <= upper.value + _slack(worst) * scale):
         raise SandwichViolationError(
             f"decoupled norm {lower.value:.15g} exceeds criterion {upper.value:.15g}"

@@ -193,7 +193,7 @@ def _execute_check(
                 status=STATUS_VIOLATION,
                 reason=f"criterion {value:.15g} vs operator norm {brute.value:.15g}",
             )
-    elif kind == "change_of_vars":
+    else:  # change_of_vars; the loader admits no other kind
         psi = sc.mapping_for(check)
         f = sc.density_for(check)
         if f is None:
@@ -203,8 +203,6 @@ def _execute_check(
         row.update(value=lhs, lower=rhs, equality=equal)
         if not equal:
             row.update(status=STATUS_VIOLATION, reason=f"lhs {lhs:.17g} != rhs {rhs:.17g}")
-    else:
-        raise ScenarioError(f"unknown check kind {kind!r}")
     return row
 
 
@@ -217,6 +215,29 @@ def _finish(rows: list[dict], sc_id: str, timing: bool, out_path: str | None) ->
     return 2 if any(r["status"] == STATUS_VIOLATION for r in rows) else 0
 
 
+def _report(
+    sc: Scenario,
+    checks: list[Check],
+    seed: int | None,
+    samples: int | None,
+    tolerance: float,
+    timing: bool,
+    out_path: str | None,
+) -> int:
+    """One timed CSV row per (check, exponent tuple); ``seed`` and
+    ``samples`` override the checks' own when given."""
+    rows = []
+    for check in checks:
+        use_seed = seed if seed is not None else check.seed
+        use_samples = samples if samples is not None else check.samples
+        for exps in check.exponents:
+            t0 = time.perf_counter()
+            row = _execute_check(sc, check, exps, use_seed, use_samples, tolerance)
+            row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
+            rows.append(row)
+    return _finish(rows, sc.id, timing, out_path)
+
+
 def run(
     scenario_path: str,
     out_path: str | None = None,
@@ -227,16 +248,7 @@ def run(
 ) -> int:
     """Execute every check of a scenario; one CSV row per (check, tuple)."""
     sc = load_scenario(scenario_path)
-    rows = []
-    for check in sc.checks:
-        use_seed = seed if seed is not None else check.seed
-        use_samples = samples if samples is not None else check.samples
-        for exps in check.exponents:
-            t0 = time.perf_counter()
-            row = _execute_check(sc, check, exps, use_seed, use_samples, tolerance)
-            row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
-            rows.append(row)
-    return _finish(rows, sc.id, timing, out_path)
+    return _report(sc, sc.checks, seed, samples, tolerance, timing, out_path)
 
 
 def sweep(
@@ -252,22 +264,8 @@ def sweep(
     if not p_grid or not q_grid:
         raise ScenarioError("sweep needs nonempty p and q grids")
     sc = load_scenario(scenario_path)
-    check = Check(kind="sandwich", exponents=[])
-    rows = []
-    for p in p_grid:
-        for q in q_grid:
-            t0 = time.perf_counter()
-            row = _execute_check(
-                sc,
-                check,
-                (p, q),
-                seed if seed is not None else 0,
-                samples if samples is not None else 1000,
-                DEFAULT_TOLERANCE,
-            )
-            row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
-            rows.append(row)
-    return _finish(rows, sc.id, timing, out_path)
+    grid = Check(kind="sandwich", exponents=[(p, q) for p in p_grid for q in q_grid])
+    return _report(sc, [grid], seed, samples, DEFAULT_TOLERANCE, timing, out_path)
 
 
 def phi_audit(
@@ -281,20 +279,9 @@ def phi_audit(
     """Audit the set function for every distinct (p, q) pair named by the
     scenario's checks; p = q pairs are rejected (kappa is infinite)."""
     sc = load_scenario(scenario_path)
-    pairs: list[tuple[float, float]] = []
-    for check in sc.checks:
-        for exps in check.exponents:
-            pq = (exps[0], exps[1])
-            if pq not in pairs:
-                pairs.append(pq)
-    rows = []
-    audit = Check(kind="phi_audit", exponents=[], partitions=partitions)
-    for p, q in pairs:
-        t0 = time.perf_counter()
-        row = _execute_check(sc, audit, (p, q), seed if seed is not None else 0, 0, tolerance)
-        row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
-        rows.append(row)
-    return _finish(rows, sc.id, timing, out_path)
+    pairs = list(dict.fromkeys((exps[0], exps[1]) for check in sc.checks for exps in check.exponents))
+    audit = Check(kind="phi_audit", exponents=pairs, partitions=partitions)
+    return _report(sc, [audit], seed, None, tolerance, timing, out_path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,10 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "run":
             return run(args.scenario, out, seed, samples, tolerance, args.timing)
         return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
-    except ScenarioError as e:
-        print(f"mixedop: input error: {e}", file=sys.stderr)
-        return 1
-    except UnsupportedExponentsError as e:
+    except (ScenarioError, UnsupportedExponentsError) as e:
         print(f"mixedop: input error: {e}", file=sys.stderr)
         return 1
     except MixedOpError as e:

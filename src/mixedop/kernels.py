@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -96,6 +96,12 @@ class NormResult:
             raise ValueError(f"unknown certificate {self.certificate!r}")
 
 
+def weakest_certificate(certificates: Iterable[str]) -> str:
+    """``exact`` when every certificate is, else ``lower_bound``: the
+    certificate of a value computed from several norms."""
+    return EXACT if all(c == EXACT for c in certificates) else LOWER_BOUND
+
+
 class OperatorKernel:
     """P(s, t): a dense real matrix from the domain fiber W_t into the
     codomain fiber V_s, for every pair of a weighted relation.
@@ -131,7 +137,10 @@ class OperatorKernel:
         by_shape: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
         misshaped = None
         for i, (s, t) in enumerate(pairs):
-            a = np.atleast_2d(np.asarray(matrices[(s, t)], dtype=float))
+            try:
+                a = np.atleast_2d(np.asarray(matrices[(s, t)], dtype=float))
+            except TypeError:  # an entry that is neither a number nor a sequence
+                raise ValueError(f"matrix at ({s!r}, {t!r}) is not an array of numbers") from None
             want = (out_dims[s], in_dims[t])
             if a.shape != want:
                 misshaped = (i, a.shape, want)
@@ -691,7 +700,7 @@ def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult
     results = [kernel.matrix_norm(s, t_id) for s, _ in pairs]
     vals = np.array([r.value for r in results])
     lams = np.array([lam for _, lam in pairs])
-    cert = EXACT if all(r.certificate == EXACT for r in results) else LOWER_BOUND
+    cert = weakest_certificate(r.certificate for r in results)
     return NormResult(weighted_power_sum(vals, lams, q), cert)
 
 

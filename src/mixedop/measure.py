@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import UnknownAtomError
+from .errors import NonFiniteResultError, UnknownAtomError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,7 +109,9 @@ class DensityFn:
         for k, v in values.items():
             v = float(v)
             if v < 0 or not np.isfinite(v):
-                raise ValueError(f"density value at {k!r} must be finite and >= 0, got {v}")
+                # a computed density, a ratio of weights, can overflow on finite input
+                error = ValueError if v < 0 else NonFiniteResultError
+                raise error(f"density value at {k!r} must be finite and >= 0, got {v}")
             vals[k] = v
         self._values = vals
 
@@ -214,10 +216,9 @@ class WeightedRelation:
         self.pairs: tuple[tuple[str, str], ...] = tuple(keys)
         self.weights: np.ndarray = _readonly(np.array([w for _, _, w in cleaned], dtype=float))
         self._index = {k: i for i, k in enumerate(self.pairs)}
-        by_target: dict[str, list[int]] = {}
-        for i, (s, t) in enumerate(self.pairs):
-            by_target.setdefault(t, []).append(i)
-        self._by_target = by_target
+        self._fibers: dict[str, list[tuple[str, float]]] = {}
+        for s, t, w in cleaned:
+            self._fibers.setdefault(t, []).append((s, w))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -239,7 +240,7 @@ class WeightedRelation:
         """The fiber F_t: (s_id, weight) pairs in canonical s order."""
         if t_id not in self.target:
             raise UnknownAtomError(f"unknown atom {t_id!r}")
-        return [(self.pairs[i][0], float(self.weights[i])) for i in self._by_target.get(t_id, [])]
+        return list(self._fibers.get(t_id, ()))
 
     @property
     def total_mass(self) -> float:
@@ -283,9 +284,9 @@ def marginal_onto_T(lam: WeightedRelation) -> FiniteMeasureSpace:
     """
     sums: dict[str, float] = {}
     for t in lam.target.ids:
-        idxs = lam._by_target.get(t)
-        if idxs:
-            sums[t] = float(np.sum(lam.weights[idxs]))
+        fiber = lam.pairs_for_target(t)
+        if fiber:
+            sums[t] = float(np.sum([w for _, w in fiber]))
     return FiniteMeasureSpace(sums)
 
 

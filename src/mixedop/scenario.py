@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -45,16 +45,54 @@ def _expect_count(value: Any, minimum: int, where: str) -> int:
     return value
 
 
-def _expect_mapping(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: expected an object")
+_EXPECTED = {dict: "an object", list: "a list", str: "a name string"}
+
+
+def _expect(value: Any, kind: type, where: str, *index):
+    """``value`` if it is a JSON object, list or string (a name: an atom
+    id or a reference), as ``kind`` says.  The path is ``where`` extended
+    by the list indices and object keys of ``index``, joined only on
+    failure.  The loops over pairs and matrices test the kinds inline
+    and call this only to report a failure."""
+    if not isinstance(value, kind):
+        path = where + "".join(f"[{i}]" if isinstance(i, int) else f".{i}" for i in index)
+        got = f", got {value!r}" if kind is str else ""
+        raise ScenarioError(f"{path}: expected {_EXPECTED[kind]}{got}")
     return value
 
 
-def _expect_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: expected a list")
-    return value
+def _ref(cfg: dict, key: str, registry: dict, what: str, where: str):
+    """The block of ``registry`` that ``cfg[key]`` names."""
+    name = cfg.get(key)
+    if name is not None:
+        _expect(name, str, where, key)
+    if name not in registry:
+        raise ScenarioError(f"{where}: unknown {what} {name!r}")
+    return registry[name]
+
+
+def _blocks(data: dict, section: str) -> Iterator[tuple[str, dict, str]]:
+    """(name, cfg, where) for every block of a top-level section."""
+    for name, cfg in _expect(data.get(section, {}), dict, section).items():
+        where = f"{section}.{name}"
+        yield name, _expect(cfg, dict, where), where
+
+
+class _at:
+    """``with _at(where):`` reports a library error raised in the body
+    as a ScenarioError prefixed with ``where``; a ScenarioError already
+    names its own path and passes unchanged.  A class, not a generator
+    context manager, because the loader enters one per fiber atom."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, (MixedOpError, ValueError)) and not isinstance(error, ScenarioError):
+            raise ScenarioError(f"{self.where}: {error}") from error
 
 
 @dataclass
@@ -110,61 +148,52 @@ class Scenario:
 
 def _load_spaces(data: dict) -> dict[str, FiniteMeasureSpace]:
     out = {}
-    for name, atoms in _expect_mapping(data.get("spaces", {}), "spaces").items():
-        atoms = _expect_mapping(atoms, f"spaces.{name}")
-        try:
+    for name, atoms, where in _blocks(data, "spaces"):
+        with _at(where):
             out[name] = FiniteMeasureSpace(
-                {a: parse_number(w, f"spaces.{name}.{a}") for a, w in atoms.items()}
+                {a: parse_number(w, f"{where}.{a}") for a, w in atoms.items()}
             )
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"spaces.{name}: {e}") from e
     return out
 
 
 def _load_relations(data: dict, spaces: dict) -> dict[str, WeightedRelation]:
     out = {}
-    for name, cfg in _expect_mapping(data.get("relations", {}), "relations").items():
-        cfg = _expect_mapping(cfg, f"relations.{name}")
-        where = f"relations.{name}"
-        for key in ("source", "target"):
-            if cfg.get(key) not in spaces:
-                raise ScenarioError(f"{where}: unknown space {cfg.get(key)!r}")
-        pairs = []
-        for entry in _expect_list(cfg.get("pairs", []), f"{where}.pairs"):
-            entry = _expect_list(entry, f"{where}.pairs entry")
-            if len(entry) != 3:
-                raise ScenarioError(f"{where}: pair entries are [s, t, weight]")
-            pairs.append((entry[0], entry[1], parse_number(entry[2], f"{where}.pairs")))
-        try:
-            out[name] = WeightedRelation(spaces[cfg["source"]], spaces[cfg["target"]], pairs)
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
+    for name, cfg, where in _blocks(data, "relations"):
+        with _at(where):
+            source = _ref(cfg, "source", spaces, "space", where)
+            target = _ref(cfg, "target", spaces, "space", where)
+            path = f"{where}.pairs"
+            entry_where = f"{path} entry"
+            pairs = []
+            for j, entry in enumerate(_expect(cfg.get("pairs", []), list, path)):
+                entry = _expect(entry, list, entry_where)
+                if len(entry) != 3:
+                    raise ScenarioError(f"{where}: pair entries are [s, t, weight]")
+                s, t, w = entry
+                if not (isinstance(s, str) and isinstance(t, str)):
+                    _expect(s, str, path, j, 0), _expect(t, str, path, j, 1)
+                pairs.append((s, t, parse_number(w, path)))
+            out[name] = WeightedRelation(source, target, pairs)
     return out
 
 
 def _load_families(data: dict, spaces: dict) -> dict[str, FiberFamily]:
     out = {}
-    for name, cfg in _expect_mapping(data.get("families", {}), "families").items():
-        cfg = _expect_mapping(cfg, f"families.{name}")
-        where = f"families.{name}"
-        if cfg.get("base") not in spaces:
-            raise ScenarioError(f"{where}: unknown base space {cfg.get('base')!r}")
-        fibers = {}
-        for atom, spec in _expect_mapping(cfg.get("fibers", {}), f"{where}.fibers").items():
-            spec = _expect_mapping(spec, f"{where}.fibers.{atom}")
-            r = parse_number(spec.get("r", 2), f"{where}.fibers.{atom}.r")
-            weights = [
-                parse_number(w, f"{where}.fibers.{atom}.weights")
-                for w in _expect_list(spec.get("weights", [1.0]), f"{where}.fibers.{atom}.weights")
-            ]
-            try:
-                fibers[atom] = NormSpec(r, weights)
-            except (MixedOpError, ValueError) as e:
-                raise ScenarioError(f"{where}.fibers.{atom}: {e}") from e
-        try:
-            out[name] = FiberFamily(spaces[cfg["base"]], fibers)
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
+    for name, cfg, where in _blocks(data, "families"):
+        with _at(where):
+            base = _ref(cfg, "base", spaces, "base space", where)
+            fibers = {}
+            for atom, spec in _expect(cfg.get("fibers", {}), dict, where, "fibers").items():
+                at = f"{where}.fibers.{atom}"
+                spec = _expect(spec, dict, at)
+                r = parse_number(spec.get("r", 2), f"{at}.r")
+                weights = [
+                    parse_number(w, f"{at}.weights")
+                    for w in _expect(spec.get("weights", [1.0]), list, at, "weights")
+                ]
+                with _at(at):
+                    fibers[atom] = NormSpec(r, weights)
+            out[name] = FiberFamily(base, fibers)
     return out
 
 
@@ -172,15 +201,19 @@ def _kernel_matrices(
     cfg: dict, relation: WeightedRelation, dom: FiberFamily, codom: FiberFamily, where: str
 ) -> dict:
     if "matrices" in cfg:
+        path = f"{where}.matrices"
+        entry_where = f"{path} entry"
         mats = {}
-        for entry in _expect_list(cfg["matrices"], f"{where}.matrices"):
-            entry = _expect_list(entry, f"{where}.matrices entry")
+        for j, entry in enumerate(_expect(cfg["matrices"], list, path)):
+            entry = _expect(entry, list, entry_where)
             if len(entry) != 3:
                 raise ScenarioError(f"{where}: matrix entries are [s, t, rows]")
             s, t, rows = entry
+            if not (isinstance(s, str) and isinstance(t, str) and isinstance(rows, list)):
+                _expect(s, str, path, j, 0), _expect(t, str, path, j, 1), _expect(rows, list, path, j, 2)
             mats[(s, t)] = rows  # converted once, by OperatorKernel
         return mats
-    gen = _expect_mapping(cfg.get("generator", {}), f"{where}.generator")
+    gen = _expect(cfg.get("generator", {}), dict, f"{where}.generator")
     kind = gen.get("kind")
     mats = {}
     for i, (s, t) in enumerate(relation.pairs):
@@ -194,7 +227,7 @@ def _kernel_matrices(
                 raise ScenarioError(f"{where}: scalar generator needs square fibers at ({s}, {t})")
             mats[(s, t)] = parse_number(gen.get("value", 1.0), f"{where}.generator.value") * np.eye(shape[0])
         elif kind == "diagonal":
-            diag = [parse_number(v, f"{where}.generator.diag") for v in _expect_list(gen.get("diag", []), f"{where}.generator.diag")]
+            diag = [parse_number(v, f"{where}.generator.diag") for v in _expect(gen.get("diag", []), list, f"{where}.generator.diag")]
             if shape[0] != shape[1] or len(diag) != shape[0]:
                 raise ScenarioError(f"{where}: diagonal generator needs square fibers matching the diag length")
             mats[(s, t)] = np.diag(diag)
@@ -210,64 +243,42 @@ def _kernel_matrices(
 
 def _load_kernels(data: dict, relations: dict, families: dict) -> dict[str, OperatorKernel]:
     out = {}
-    for name, cfg in _expect_mapping(data.get("kernels", {}), "kernels").items():
-        cfg = _expect_mapping(cfg, f"kernels.{name}")
-        where = f"kernels.{name}"
-        if cfg.get("relation") not in relations:
-            raise ScenarioError(f"{where}: unknown relation {cfg.get('relation')!r}")
-        for key in ("domain", "codomain"):
-            if cfg.get(key) not in families:
-                raise ScenarioError(f"{where}: unknown family {cfg.get(key)!r}")
-        relation = relations[cfg["relation"]]
-        dom = families[cfg["domain"]]
-        codom = families[cfg["codomain"]]
-        try:
+    for name, cfg, where in _blocks(data, "kernels"):
+        with _at(where):
+            relation = _ref(cfg, "relation", relations, "relation", where)
+            dom = _ref(cfg, "domain", families, "family", where)
+            codom = _ref(cfg, "codomain", families, "family", where)
             mats = _kernel_matrices(cfg, relation, dom, codom, where)
             out[name] = OperatorKernel(relation, dom, codom, mats)
-        except ScenarioError:
-            raise
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
     return out
 
 
 def _load_mappings(data: dict, spaces: dict) -> dict[str, AtomMap]:
     out = {}
-    for name, cfg in _expect_mapping(data.get("mappings", {}), "mappings").items():
-        cfg = _expect_mapping(cfg, f"mappings.{name}")
-        where = f"mappings.{name}"
-        for key in ("source", "target"):
-            if cfg.get(key) not in spaces:
-                raise ScenarioError(f"{where}: unknown space {cfg.get(key)!r}")
-        try:
-            out[name] = AtomMap(
-                spaces[cfg["source"]],
-                spaces[cfg["target"]],
-                _expect_mapping(cfg.get("table", {}), f"{where}.table"),
-            )
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
+    for name, cfg, where in _blocks(data, "mappings"):
+        with _at(where):
+            source = _ref(cfg, "source", spaces, "space", where)
+            target = _ref(cfg, "target", spaces, "space", where)
+            table = _expect(cfg.get("table", {}), dict, where, "table")
+            for s, t in table.items():
+                _expect(t, str, where, "table", s)
+            out[name] = AtomMap(source, target, table)
     return out
 
 
 def _load_densities(data: dict, spaces: dict) -> dict[str, DensityFn]:
     out = {}
-    for name, cfg in _expect_mapping(data.get("densities", {}), "densities").items():
-        cfg = _expect_mapping(cfg, f"densities.{name}")
-        where = f"densities.{name}"
-        if cfg.get("space") not in spaces:
-            raise ScenarioError(f"{where}: unknown space {cfg.get('space')!r}")
-        space = spaces[cfg["space"]]
-        values = _expect_mapping(cfg.get("values", {}), f"{where}.values")
-        try:
-            out[name] = DensityFn(
+    for name, cfg, where in _blocks(data, "densities"):
+        with _at(where):
+            space = _ref(cfg, "space", spaces, "space", where)
+            values = _expect(cfg.get("values", {}), dict, where, "values")
+            density = DensityFn(
                 {a: parse_number(v, f"{where}.values.{a}") for a, v in values.items()}
             )
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}: {e}") from e
-        for atom in space.ids:
-            if atom not in out[name]:
-                raise ScenarioError(f"{where}: missing value for atom {atom!r}")
+            for atom in space.ids:
+                if atom not in density:
+                    raise ScenarioError(f"{where}: missing value for atom {atom!r}")
+            out[name] = density
     return out
 
 
@@ -275,53 +286,51 @@ def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
     cfg = data.get("mixed_composition")
     if cfg is None:
         return None
-    cfg = _expect_mapping(cfg, "mixed_composition")
     where = "mixed_composition"
+    cfg = _expect(cfg, dict, where)
 
     def load_domain(sub: str) -> MixedDomain:
-        block = _expect_mapping(cfg.get(sub, {}), f"{where}.{sub}")
-        for key in ("outer", "inner"):
-            if block.get(key) not in spaces:
-                raise ScenarioError(f"{where}.{sub}: unknown space {block.get(key)!r}")
-        cells = [
-            tuple(_expect_list(c, f"{where}.{sub}.cells entry"))
-            for c in _expect_list(block.get("cells", []), f"{where}.{sub}.cells")
-        ]
-        try:
-            return MixedDomain(spaces[block["outer"]], spaces[block["inner"]], cells)
-        except (MixedOpError, ValueError) as e:
-            raise ScenarioError(f"{where}.{sub}: {e}") from e
+        at = f"{where}.{sub}"
+        with _at(at):
+            block = _expect(cfg.get(sub, {}), dict, at)
+            outer = _ref(block, "outer", spaces, "space", at)
+            inner = _ref(block, "inner", spaces, "space", at)
+            cells = []
+            for j, cell in enumerate(_expect(block.get("cells", []), list, at, "cells")):
+                cell = _expect(cell, list, f"{at}.cells entry")
+                cells.append(tuple(_expect(x, str, at, "cells", j, i) for i, x in enumerate(cell)))
+            return MixedDomain(outer, inner, cells)
 
     domain = load_domain("domain")
     codomain = load_domain("codomain")
-    try:
-        return SplitMapping(
-            domain,
-            codomain,
-            _expect_mapping(cfg.get("psi", {}), f"{where}.psi"),
-            {
-                s: _expect_mapping(m, f"{where}.u.{s}")
-                for s, m in _expect_mapping(cfg.get("u", {}), f"{where}.u").items()
-            },
-        )
-    except (MixedOpError, ValueError) as e:
-        raise ScenarioError(f"{where}: {e}") from e
+    with _at(where):
+        psi = _expect(cfg.get("psi", {}), dict, where, "psi")
+        for s, t in psi.items():
+            _expect(t, str, where, "psi", s)
+        u = {}
+        for s, table in _expect(cfg.get("u", {}), dict, where, "u").items():
+            u[s] = _expect(table, dict, where, "u", s)
+            for x, y in u[s].items():
+                _expect(y, str, where, "u", s, x)
+        return SplitMapping(domain, codomain, psi, u)
 
 
 def _load_checks(data: dict) -> list[Check]:
     out = []
-    for i, cfg in enumerate(_expect_list(data.get("checks", []), "checks")):
-        cfg = _expect_mapping(cfg, f"checks[{i}]")
+    for i, cfg in enumerate(_expect(data.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
+        cfg = _expect(cfg, dict, where)
         kind = cfg.get("kind")
         if kind not in CHECK_KINDS:
             raise ScenarioError(f"{where}: unknown kind {kind!r} (one of {CHECK_KINDS})")
-        for name in ("kernel", "mapping", "density"):
-            if cfg.get(name) is not None and not isinstance(cfg[name], str):
-                raise ScenarioError(f"{where}.{name}: expected a name string, got {cfg[name]!r}")
+        refs = {
+            key: _expect(cfg[key], str, where, key)
+            for key in ("kernel", "mapping", "density")
+            if cfg.get(key) is not None
+        }
         exponents = []
-        for j, entry in enumerate(_expect_list(cfg.get("exponents", []), f"{where}.exponents")):
-            entry = _expect_list(entry, f"{where}.exponents[{j}]")
+        for j, entry in enumerate(_expect(cfg.get("exponents", []), list, f"{where}.exponents")):
+            entry = _expect(entry, list, f"{where}.exponents[{j}]")
             if len(entry) not in (2, 4):
                 raise ScenarioError(f"{where}.exponents[{j}]: expected [p, q] or [p, q, alpha, beta]")
             exponents.append(tuple(parse_number(x, f"{where}.exponents[{j}]") for x in entry))
@@ -332,9 +341,7 @@ def _load_checks(data: dict) -> list[Check]:
                 seed=_expect_count(cfg.get("seed", 0), 0, f"{where}.seed"),
                 samples=_expect_count(cfg.get("samples", 1000), 1, f"{where}.samples"),
                 partitions=_expect_count(cfg.get("partitions", 20), 1, f"{where}.partitions"),
-                kernel=cfg.get("kernel"),
-                mapping=cfg.get("mapping"),
-                density=cfg.get("density"),
+                **refs,
             )
         )
     return out

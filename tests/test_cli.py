@@ -281,6 +281,13 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith("usage: mixedop") and "error:" in err
 
+    def test_overflowing_volume_derivative_exits_1(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+        data["spaces"]["T"]["t1"] = 5e-324  # nu(psi^-1(t1)) / mu_t1 = 4 / 5e-324 overflows
+        data["checks"] = [{"kind": "change_of_vars", "exponents": [[2, 2]], "mapping": "psi", "density": "f"}]
+        assert main(["run", _write(tmp_path, data)]) == 1
+        assert capsys.readouterr().err.startswith("mixedop: error: density value at 't1' must be finite")
+
     def test_mixedcomp_scenario(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["run", str(SCENARIOS / "mixed_composition.json"), "--out", str(out)]) == 0
@@ -326,6 +333,62 @@ class TestCheckFields:
         assert huge["value"] != equal["value"]
         # kappa = 2 and mu_t = 1: the l2 aggregate of |P| = (1, 2)
         assert float(huge["value"]) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
+def _edited(tmp_path, name, path, value):
+    """A copy of a bundled scenario with the JSON place ``path`` set to
+    ``value``."""
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return _write(tmp_path, data)
+
+
+class TestMalformedNames:
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("scalar17", ("relations", "lam", "source"), ["S"],
+         "relations.lam.source: expected a name string, got ['S']"),
+        ("scalar17", ("families", "W", "base"), {"T": 1},
+         "families.W.base: expected a name string, got {'T': 1}"),
+        ("scalar17", ("kernels", "P", "domain"), ["W"],
+         "kernels.P.domain: expected a name string, got ['W']"),
+        ("scalar17", ("relations", "lam", "pairs", 0, 0), ["s1"],
+         "relations.lam.pairs[0][0]: expected a name string, got ['s1']"),
+        ("scalar17", ("kernels", "P", "matrices", 1, 1), ["t2"],
+         "kernels.P.matrices[1][1]: expected a name string, got ['t2']"),
+        ("scalar17", ("kernels", "P", "matrices", 0, 2), {"a": 1},
+         "kernels.P.matrices[0][2]: expected a list"),
+        ("scalar17", ("kernels", "P", "matrices", 0, 2, 0), [{}],
+         "kernels.P: matrix at ('s1', 't1') is not an array of numbers"),
+        ("graph_swap", ("mappings", "psi", "table", "s1"), ["t2"],
+         "mappings.psi.table.s1: expected a name string, got ['t2']"),
+        ("mixed_composition", ("mixed_composition", "domain", "cells", 0, 1), ["x1"],
+         "mixed_composition.domain.cells[0][1]: expected a name string, got ['x1']"),
+        ("mixed_composition", ("mixed_composition", "psi", "s1"), ["t1"],
+         "mixed_composition.psi.s1: expected a name string, got ['t1']"),
+        ("mixed_composition", ("mixed_composition", "u", "s1", "x1"), {"y": 1},
+         "mixed_composition.u.s1.x1: expected a name string, got {'y': 1}"),
+    ])
+    def test_list_or_object_for_a_name_exits_1(self, tmp_path, capsys, name, path, value, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, name, path, value), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"mixedop: input error: {message}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("scalar17", ("spaces", "S", "s1"), "x", "spaces.S.s1: expected a number or 'inf', got 'x'"),
+        ("graph_swap", ("densities", "f", "values", "t1"), [5.0],
+         "densities.f.values.t1: expected a number, got [5.0]"),
+        ("graph_swap", ("mappings", "psi", "table"), ["t2"], "mappings.psi.table: expected an object"),
+    ])
+    def test_error_names_its_path_once(self, tmp_path, capsys, name, path, value, message):
+        assert main(["run", _edited(tmp_path, name, path, value)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
