@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .fibers import (
     NormSpec,
     Section,
     check_exponent,
-    ell_power_sum,
     fiber_norm,
     lp_measure_norm,
     weighted_power_sum,
@@ -107,10 +106,11 @@ class OperatorKernel:
     codomain fiber V_s, for every pair of a weighted relation.
 
     The kernel bundles the relation (F, lambda) and both fiber families,
-    which together form a complete mixed-operator instance.  It owns the
-    caches of everything computed from it: the induced matrix norms, the
-    fiber effectiveness c(t) per q, and the sampling oracle's per-atom
-    values per (q, seed, samples).
+    which together form a complete mixed-operator instance.  It stores
+    the matrices as one read-only stack per (out dim, in dim) shape and
+    owns the caches of everything computed from them: the induced matrix
+    norms, the fiber effectiveness c(t) per q, and the sampling oracle's
+    per-atom values per (q, seed, samples).
     """
 
     def __init__(
@@ -134,49 +134,55 @@ class OperatorKernel:
         pairs = relation.pairs
         in_dims = {t: W.dim for t, W in domain_family.items()}
         out_dims = {s: V.dim for s, V in codomain_family.items()}
-        by_shape: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-        misshaped = None
+        by_shape: dict[tuple[int, int], list[int]] = {}
         for i, (s, t) in enumerate(pairs):
-            try:
-                a = np.atleast_2d(np.asarray(matrices[(s, t)], dtype=float))
-            except TypeError:  # an entry that is neither a number nor a sequence
-                raise ValueError(f"matrix at ({s!r}, {t!r}) is not an array of numbers") from None
-            want = (out_dims[s], in_dims[t])
-            if a.shape != want:
-                misshaped = (i, a.shape, want)
-                break
-            idx, arrays = by_shape.setdefault(want, ([], []))
-            idx.append(i)
-            arrays.append(a)
-        # the pairs of each shape as one read-only stack, each group's
-        # arrays dropped once stacked so that the copies never all exist
-        # at once; the first pair in pair order that fails either check
-        # names the error
+            by_shape.setdefault((out_dims[s], in_dims[t]), []).append(i)
+        # each shape group converted in one call; a group that does not
+        # convert whole to its shape is converted matrix by matrix, as
+        # np.atleast_2d reads each, up to its first failure.  The first
+        # pair in pair order that fails a check names the error.
         stacks = []
-        non_finite = len(pairs)
-        for idx, arrays in by_shape.values():
-            stack = np.stack(arrays)
-            arrays.clear()
+        failures: list[tuple[int, Exception]] = []
+        for shape, idx in by_shape.items():
+            group = [matrices[pairs[i]] for i in idx]
+            try:
+                stack = np.array(group, dtype=float)
+            except (TypeError, ValueError):
+                stack = None
+            if stack is None or stack.shape[1:] != shape:
+                arrays = []
+                for i, m in zip(idx, group):
+                    try:
+                        arrays.append(_one_matrix(m, pairs[i], shape))
+                    except ValueError as e:
+                        failures.append((i, e))
+                        break
+                stack = np.stack(arrays) if arrays else np.empty((0,) + shape)
             if not np.isfinite(stack).all():
-                finite = np.isfinite(stack).all(axis=(1, 2))
-                non_finite = min(non_finite, idx[int(np.argmin(finite))])
+                i = idx[int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))]
+                failures.append((i, ValueError(f"matrix at ({pairs[i][0]!r}, {pairs[i][1]!r}) has a non-finite entry")))
             stack.flags.writeable = False
-            stacks.append((stack, idx))
-        if misshaped is not None and misshaped[0] < non_finite:
-            i, shape, want = misshaped
-            raise DimensionMismatchError(
-                f"matrix at ({pairs[i][0]!r}, {pairs[i][1]!r}) has shape {shape}, expected {want}"
-            )
-        if non_finite < len(pairs):
-            s, t = pairs[non_finite]
-            raise ValueError(f"matrix at ({s!r}, {t!r}) has a non-finite entry")
+            stacks.append((stack, np.array(idx, dtype=np.intp)))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        stack_of = np.empty(len(pairs), dtype=np.intp)
+        slot_of = np.empty(len(pairs), dtype=np.intp)
+        for k, (_, idx) in enumerate(stacks):
+            stack_of[idx] = k
+            slot_of[idx] = np.arange(idx.size)
         self.relation = relation
         self.domain_family = domain_family
         self.codomain_family = codomain_family
         self._stacks = stacks
-        self._matrices = {pairs[i]: stack[j] for stack, idx in stacks for j, i in enumerate(idx)}
+        self._stack_of = stack_of
+        # pair -> (pair index, stack, position in the stack)
+        self._place = dict(zip(pairs, zip(range(len(pairs)), stack_of.tolist(), slot_of.tolist())))
+        self._conjugated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._norm_filled: set[int] = set()
+        # the closed-form norms by pair index: NaN until the pair's stack
+        # is filled, and where the pair has no finite closed form
+        self._norm_values = np.full(len(pairs), np.nan)
         self._norm_cache: dict[tuple[str, str], NormResult] = {}
-        self._closed_forms_filled = False
         self._eff_cache: dict[tuple[str, float], NormResult] = {}
         self._sample_cache: dict[tuple[float, int, int], np.ndarray] = {}
 
@@ -184,63 +190,111 @@ class OperatorKernel:
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return self.relation.pairs
 
-    def matrix(self, s_id: str, t_id: str) -> np.ndarray:
+    def _slot(self, s_id: str, t_id: str) -> tuple[int, int, int]:
+        """(pair index, stack, position in the stack) of the pair."""
         try:
-            return self._matrices[(s_id, t_id)]
+            return self._place[(s_id, t_id)]
         except KeyError:
             raise MissingPairError(f"pair ({s_id!r}, {t_id!r}) not in relation") from None
+
+    def matrix(self, s_id: str, t_id: str) -> np.ndarray:
+        _, k, j = self._slot(s_id, t_id)
+        return self._stacks[k][0][j]
 
     def matrix_norm(self, s_id: str, t_id: str) -> NormResult:
         """Induced norm of P(s, t) from W_t to V_s (cached).
 
-        The first miss fills every pair with a closed form in one
-        stacked pass; any other pair is computed on its own miss.
+        A miss fills the closed forms of the pair's own shape stack; a
+        pair without one is computed on its own miss.
         """
         key = (s_id, t_id)
         cached = self._norm_cache.get(key)
-        if cached is None and not self._closed_forms_filled:
-            self._closed_forms_filled = True
-            self._fill_closed_forms()
-            cached = self._norm_cache.get(key)
         if cached is None:
-            cached = self._norm_cache[key] = matrix_operator_norm(
-                self.matrix(s_id, t_id),
-                self.domain_family.norm(t_id),
-                self.codomain_family.norm(s_id),
-            )
+            i, k, j = self._slot(s_id, t_id)
+            self._fill_norms(k)
+            value = float(self._norm_values[i])
+            if math.isnan(value):
+                cached = matrix_operator_norm(
+                    self._stacks[k][0][j],
+                    self.domain_family.norm(t_id),
+                    self.codomain_family.norm(s_id),
+                )
+            else:
+                cached = NormResult(value, EXACT)
+            self._norm_cache[key] = cached
         return cached
 
-    def _fill_closed_forms(self) -> None:
-        """Cache the norm of every pair that has a closed form, stacked by
-        (out dim, in dim, a, b); ``matrix_operator_norm`` computes each
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        return _Layout.of(self)
+
+    def _conjugate(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stack k weight-conjugated as ``matrix_operator_norm`` does it,
+        the out scale on the left and the in scale divided out on the
+        right, with each pair's in and out exponents (cached)."""
+        got = self._conjugated.get(k)
+        if got is None:
+            stack, idx = self._stacks[k]
+            m, d = stack.shape[1:]
+            L = self._layout
+            src, tgt = L.source[idx], L.target[idx]
+            B = (L.out_scale[m][src][:, :, None] * stack) / L.in_scale[d][tgt][:, None, :]
+            got = self._conjugated[k] = (B, L.in_r[tgt], L.out_r[src])
+        return got
+
+    def _fill_norms(self, k: int) -> None:
+        """Store the norm of every pair of stack k that has a closed form,
+        once, stacked by (a, b); ``matrix_operator_norm`` computes each
         with the same ``_closed_form_norms`` on a stack of one.
 
-        A pair whose weight-conjugated matrix or norm is not finite is
-        left to its own miss, which reports it as before.
+        A pair whose weight-conjugated matrix or norm is not finite keeps
+        NaN and is left to its own miss, which reports it as before.
         """
-        pairs = self.relation.pairs
-        ins = {t: (W.r, W.scale()) for t, W in self.domain_family.items()}
-        outs = {s: (V.r, V.scale()) for s, V in self.codomain_family.items()}
-        for stack, idx in self._stacks:
-            groups: dict[tuple[float, float], list[int]] = {}
-            for j, i in enumerate(idx):
-                s, t = pairs[i]
-                groups.setdefault((ins[t][0], outs[s][0]), []).append(j)
-            for (a, b), js in groups.items():
-                members = [pairs[idx[j]] for j in js]
-                out_scale = np.stack([outs[s][1] for s, _ in members])
-                in_scale = np.stack([ins[t][1] for _, t in members])
-                B = (out_scale[:, :, None] * stack[js]) / in_scale[:, None, :]
-                keep = np.isfinite(B).all(axis=(1, 2))
-                values = _closed_form_norms(B[keep], a, b)
-                if values is None:
-                    # no closed form: only the zero matrices are known
-                    keep &= ~B.any(axis=(1, 2))
-                    values = np.zeros(int(keep.sum()))
-                kept = [pair for pair, k in zip(members, keep) if k]
-                for pair, value in zip(kept, values.tolist()):
-                    if math.isfinite(value):
-                        self._norm_cache[pair] = NormResult(value, EXACT)
+        if k in self._norm_filled:
+            return
+        self._norm_filled.add(k)
+        B, a, b = self._conjugate(k)
+        idx = self._stacks[k][1]
+        for ak, bk in dict.fromkeys(zip(a.tolist(), b.tolist())):
+            js = np.flatnonzero((a == ak) & (b == bk))
+            Bg = B[js]
+            keep = np.isfinite(Bg).all(axis=(1, 2))
+            values = _closed_form_norms(Bg[keep], ak, bk)
+            if values is None:
+                # no closed form: only the zero matrices are known
+                keep &= ~Bg.any(axis=(1, 2))
+                values = np.zeros(int(keep.sum()))
+            self._norm_values[idx[js[keep]]] = np.where(np.isfinite(values), values, np.nan)
+
+    def _fiber_matrix(self, targets: list[int], width: int) -> np.ndarray:
+        """The pair indices of the fibers of ``targets`` (positions in
+        ``T.ids``), one row each in fiber order, padded with -1 to
+        ``width``."""
+        L = self._layout
+        slots = np.arange(width)
+        begin = L.start[targets][:, None]
+        inside = slots < L.size[targets][:, None]
+        return np.where(inside, L.order[np.where(inside, begin + slots, 0)], -1)
+
+    def _per_pair(self, P: np.ndarray, fn: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+        """``fn(B, b)`` on the weight-conjugated matrices of the pairs P
+        (pair indices, -1 for padding), once per (stack, out exponent)
+        group, laid out as P; zero at the padding."""
+        n = self._stack_of.size
+        wanted = np.zeros(n, dtype=bool)
+        wanted[P[P >= 0]] = True
+        out = None
+        for k in np.unique(self._stack_of[wanted]).tolist():
+            B, _, b = self._conjugate(k)
+            idx = self._stacks[k][1]
+            js = np.flatnonzero(wanted[idx])
+            for bk in dict.fromkeys(b[js].tolist()):
+                sel = js[b[js] == bk]
+                part = fn(B[sel], bk)
+                if out is None:  # one row per pair, and a zero row last for the padding
+                    out = np.zeros((n + 1,) + part.shape[1:])
+                out[idx[sel]] = part
+        return out[P]
 
     def effectiveness(self, t_id: str, q: float) -> NormResult:
         """c(t) at a validated finite q (cached); a miss solves every
@@ -255,19 +309,68 @@ class OperatorKernel:
         return cached
 
     def _fill_effectiveness(self, q: float) -> None:
-        """Cache c(t) at q for every target of the kernel not cached yet,
-        the ascent problems batched by the dimension and exponent of W_t."""
+        """Cache c(t) at q for every target of the kernel not cached yet.
+
+        Empty and singleton fibers come from ``_effectiveness_problem``.
+        The other closed forms are solved in stacked passes, each value
+        bit-identical to the same formula on one target:
+
+        - scalar W_t: the weighted q-power sum of the fiber's matrix
+          norms, one row reduction per fiber size (no padding, since
+          ``np.sum`` adds pairwise from 8 entries on);
+        - W_t with exponent 1: the max over columns of the weighted
+          q-power sums of the per-column norms, per (dim, fiber size);
+        - q = 2 with all-l2 fibers: the largest eigenvalue of the sum of
+          ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim.
+
+        The ascent problems are batched by the dimension and exponent of W_t.
+        """
         cache = self._eff_cache
+        T = self.relation.target.ids
+        L = self._layout
+        weights = np.append(self.relation.weights, 0.0)  # 0 at the padding
+        scalar: dict[int, list[int]] = {}
+        vertex: dict[tuple[int, int], list[int]] = {}
+        eigen: dict[int, list[int]] = {}
         batches: dict[tuple[int, float], list] = {}
-        for t in self.relation.target.ids:
+        for u, (t, n, d, r, l2) in enumerate(zip(T, L.size.tolist(), L.in_dim, L.in_r.tolist(), L.l2.tolist())):
             if (t, q) in cache:
                 continue
-            built = _effectiveness_problem(self, t, q)
-            if isinstance(built, NormResult):
-                cache[(t, q)] = built
+            if n < 2:
+                cache[(t, q)] = _effectiveness_problem(self, t, q)
+            elif d == 1:
+                scalar.setdefault(n, []).append(u)
+            elif r == 1.0:
+                vertex.setdefault((d, n), []).append(u)
+            elif q == 2.0 and r == 2.0 and l2:
+                eigen.setdefault(d, []).append(u)
             else:
-                W = self.domain_family.norm(t)
-                batches.setdefault((W.dim, W.r), []).append((t, built))
+                batches.setdefault((d, r), []).append((t, _effectiveness_problem(self, t, q)))
+        for n, us in scalar.items():
+            P = self._fiber_matrix(us, n)
+            for k in np.unique(self._stack_of[P]).tolist():
+                self._fill_norms(k)
+            norms = self._norm_values[P]
+            if np.isnan(norms).any():
+                # no finite norm: the pair's own miss reports it
+                self.matrix_norm(*self.relation.pairs[P[np.isnan(norms)][0]])
+            for u, value in zip(us, _power_sums(norms, q, weights[P]).tolist()):
+                cache[(T[u], q)] = NormResult(value, EXACT)
+        for (d, n), us in vertex.items():
+            P = self._fiber_matrix(us, n)
+            columns = self._per_pair(P, lambda B, b: _power_sums(np.swapaxes(B, 1, 2), b))
+            sums = _power_sums(np.swapaxes(columns, 1, 2), q, weights[P][:, None, :])
+            for u, value in zip(us, sums.max(axis=1).tolist()):
+                cache[(T[u], q)] = NormResult(value, EXACT)
+        for d, us in eigen.items():
+            P = self._fiber_matrix(us, int(L.size[us].max()))
+            grams = weights[P][:, :, None, None] * self._per_pair(P, lambda B, b: np.swapaxes(B, 1, 2) @ B)
+            M = np.zeros((len(us), d, d))
+            for slot in range(P.shape[1]):
+                M += grams[:, slot]
+            tops = np.linalg.eigvalsh((M + np.swapaxes(M, 1, 2)) / 2.0)[:, -1]
+            for u, top in zip(us, tops.tolist()):
+                cache[(T[u], q)] = NormResult(math.sqrt(max(top, 0.0)), EXACT)
         for (_, a), items in batches.items():
             values = _ascent([problem for _, problem in items], a, q)
             for (t, _), value in zip(items, values):
@@ -301,7 +404,7 @@ class OperatorKernel:
             self.relation,
             self.domain_family,
             self.codomain_family,
-            {k: factor * m for k, m in self._matrices.items()},
+            {k: factor * self.matrix(*k) for k in self.pairs},
         )
 
     def restrict_targets(self, keep) -> "OperatorKernel":
@@ -311,11 +414,66 @@ class OperatorKernel:
             rel,
             self.domain_family,
             self.codomain_family,
-            {k: self._matrices[k] for k in rel.pairs},
+            {k: self.matrix(*k) for k in rel.pairs},
         )
 
     def __repr__(self) -> str:
         return f"OperatorKernel({len(self.pairs)} pairs)"
+
+
+class _Layout(NamedTuple):
+    """A kernel's pairs and fibers as index arrays, built once on demand.
+
+    Atoms are numbered by position in ``S.ids`` and ``T.ids``.  Target
+    u's fiber, in fiber order, is ``order[start[u]:start[u] + size[u]]``.
+    """
+
+    source: np.ndarray  # source position of each pair
+    target: np.ndarray  # target position of each pair
+    in_dim: list[int]  # dim of each W_t
+    in_r: np.ndarray  # exponent of each W_t
+    out_r: np.ndarray  # exponent of each V_s
+    in_scale: dict[int, np.ndarray]  # per dim d, the scale of each W_t of dim d (0 rows elsewhere)
+    out_scale: dict[int, np.ndarray]  # the same for the V_s
+    order: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    l2: np.ndarray  # whether every V_s of the fiber of t has exponent 2
+
+    @classmethod
+    def of(cls, kernel: OperatorKernel) -> "_Layout":
+        rel = kernel.relation
+
+        def positions(space, family):
+            norms = [family.norm(atom) for atom in space.ids]
+            scale: dict[int, np.ndarray] = {}
+            for u, N in enumerate(norms):
+                scale.setdefault(N.dim, np.zeros((len(norms), N.dim)))[u] = N.scale()
+            number = {atom: u for u, atom in enumerate(space.ids)}
+            return number, [N.dim for N in norms], np.array([N.r for N in norms]), scale
+
+        s_number, _, out_r, out_scale = positions(rel.source, kernel.codomain_family)
+        t_number, in_dim, in_r, in_scale = positions(rel.target, kernel.domain_family)
+        source = np.array([s_number[s] for s, _ in rel.pairs], dtype=np.intp)
+        target = np.array([t_number[t] for _, t in rel.pairs], dtype=np.intp)
+        size = np.bincount(target, minlength=len(in_dim))
+        non_l2 = np.bincount(target, weights=out_r[source] != 2.0, minlength=len(in_dim))
+        return cls(
+            source, target, in_dim, in_r, out_r, in_scale, out_scale,
+            np.argsort(target, kind="stable"), np.cumsum(size) - size, size, non_l2 == 0,
+        )
+
+
+def _one_matrix(m, pair: tuple[str, str], shape: tuple[int, int]) -> np.ndarray:
+    """One matrix as ``np.atleast_2d`` reads it, checked against its shape;
+    ragged rows raise numpy's own ValueError."""
+    try:
+        a = np.atleast_2d(np.asarray(m, dtype=float))
+    except TypeError:  # an entry that is neither a number nor a sequence
+        raise ValueError(f"matrix at ({pair[0]!r}, {pair[1]!r}) is not an array of numbers") from None
+    if a.shape != shape:
+        raise DimensionMismatchError(f"matrix at ({pair[0]!r}, {pair[1]!r}) has shape {a.shape}, expected {shape}")
+    return a
 
 
 def apply_mixed(kernel: OperatorKernel, f: Section) -> dict[tuple[str, str], np.ndarray]:
@@ -545,16 +703,18 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
     return NormResult(float(_ascent([([B], [b], np.ones(1))], a, 1.0)[0]), LOWER_BOUND)
 
 
-def _ell_power_sums(V: np.ndarray, r: float) -> np.ndarray:
-    """``ell_power_sum`` of every vector along the last axis, bit for bit:
-    the same max factoring and elementwise power, a per-row ``np.sum`` on
-    a C-contiguous array, and the final root as a Python float operation
-    (an array power rounds differently)."""
+def _power_sums(V: np.ndarray, r: float, weights: np.ndarray | None = None) -> np.ndarray:
+    """``ell_power_sum`` of every vector along the last axis, or with
+    ``weights`` (broadcast against V; finite r) ``weighted_power_sum``,
+    bit for bit: the same max factoring and elementwise power, a per-row
+    ``np.sum`` on a C-contiguous array, and the final root as a Python
+    float operation (an array power rounds differently)."""
     V = np.ascontiguousarray(np.abs(V))
     M = V.max(axis=-1)
     if math.isinf(r):
         return M
-    S = ((V / np.where(M > 0, M, 1.0)[..., None]) ** r).sum(axis=-1)
+    X = (V / np.where(M > 0, M, 1.0)[..., None]) ** r
+    S = (X if weights is None else weights * X).sum(axis=-1)
     e = 1.0 / r
     roots = [m * s ** e for m, s in zip(M.ravel().tolist(), S.ravel().tolist())]
     return np.array(roots).reshape(M.shape)
@@ -569,11 +729,11 @@ def _closed_form_norms(B: np.ndarray, a: float, b: float) -> np.ndarray | None:
     value).  Each gives 0 on a zero matrix.
     """
     if B.shape[2] == 1:
-        return _ell_power_sums(B[:, :, 0], b)
+        return _power_sums(B[:, :, 0], b)
     if a == 1.0:
-        return _ell_power_sums(np.swapaxes(B, 1, 2), b).max(axis=1)
+        return _power_sums(np.swapaxes(B, 1, 2), b).max(axis=1)
     if math.isinf(b):
-        return _ell_power_sums(B, _dual(a)).max(axis=1)
+        return _power_sums(B, _dual(a)).max(axis=1)
     if a == 2.0 and b == 2.0:
         return np.linalg.svd(B, compute_uv=False)[:, 0]
     return None
@@ -641,8 +801,9 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     (largest eigenvalue of the weight-conjugated quadratic form).
 
     On a cache miss every uncached target of the kernel is solved at
-    this q in one pass, the ascent problems batched by the dimension
-    and exponent of W_t.
+    this q in one pass: the closed forms stacked, the ascent problems
+    batched by the dimension and exponent of W_t
+    (``OperatorKernel._fill_effectiveness``).
     """
     q = check_exponent(q)
     if math.isinf(q):
@@ -653,8 +814,10 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
 def _effectiveness_problem(
     kernel: OperatorKernel, t_id: str, q: float
 ) -> NormResult | tuple[list[np.ndarray], list[float], np.ndarray]:
-    """c(t) as a ``NormResult`` from a closed-form branch, or else the
-    ascent problem ``(Bs, bs, lams)`` that yields it."""
+    """c(t) as a ``NormResult`` for an empty or singleton fiber, or else
+    the ascent problem ``(Bs, bs, lams)`` that yields it.  The other
+    closed forms are solved in stacked passes by
+    ``OperatorKernel._fill_effectiveness`` and never reach here."""
     pairs = kernel.relation.pairs_for_target(t_id)
     if not pairs:
         return NormResult(0.0, EXACT)
@@ -662,29 +825,10 @@ def _effectiveness_problem(
         s, lam = pairs[0]
         r = kernel.matrix_norm(s, t_id)
         return NormResult(lam ** (1.0 / q) * r.value, r.certificate)
-    W = kernel.domain_family.norm(t_id)
-    lams = np.array([lam for _, lam in pairs])
-    if W.dim == 1:
-        vals = np.array([kernel.matrix_norm(s, t_id).value for s, _ in pairs])
-        return NormResult(weighted_power_sum(vals, lams, q), EXACT)
-    mats = [kernel.matrix(s, t_id) for s, _ in pairs]
+    in_scale = kernel.domain_family.norm(t_id).scale()
     outs = [kernel.codomain_family.norm(s) for s, _ in pairs]
-    in_scale = W.scale()
-    Bs = [(o.scale()[:, None] * m) / in_scale[None, :] for m, o in zip(mats, outs)]
-    bs = [o.r for o in outs]
-    if W.r == 1.0:
-        best = max(
-            weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
-            for j in range(W.dim)
-        )
-        return NormResult(best, EXACT)
-    if q == 2.0 and W.r == 2.0 and all(b == 2.0 for b in bs):
-        M = np.zeros((W.dim, W.dim))
-        for lam, B in zip(lams, Bs):
-            M += lam * (B.T @ B)
-        top = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
-        return NormResult(math.sqrt(max(top, 0.0)), EXACT)
-    return Bs, bs, lams
+    Bs = [(o.scale()[:, None] * kernel.matrix(s, t_id)) / in_scale[None, :] for (s, _), o in zip(pairs, outs)]
+    return Bs, [o.r for o in outs], np.array([lam for _, lam in pairs])
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:

@@ -8,6 +8,7 @@ functions.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -204,7 +205,7 @@ class WeightedRelation:
                 raise UnknownAtomError(f"pair names unknown target atom {t!r}")
             if w == 0.0:
                 continue
-            if w < 0 or not np.isfinite(w):
+            if w < 0 or not math.isfinite(w):
                 raise ValueError(f"pair ({s!r}, {t!r}) has invalid weight {w}")
             cleaned.append((str(s), str(t), w))
         cleaned.sort()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -33,7 +34,7 @@ def parse_number(value: Any, where: str) -> float:
         if value.strip().lower() == "inf":
             return math.inf
         raise ScenarioError(f"{where}: expected a number or 'inf', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     return float(value)
 
@@ -211,34 +212,59 @@ def _kernel_matrices(
             s, t, rows = entry
             if not (isinstance(s, str) and isinstance(t, str) and isinstance(rows, list)):
                 _expect(s, str, path, j, 0), _expect(t, str, path, j, 1), _expect(rows, list, path, j, 2)
-            mats[(s, t)] = rows  # converted once, by OperatorKernel
+            mats[(s, t)] = rows  # converted once per shape, by OperatorKernel
+        # numpy reads "3" as 3.0 and true as 1.0: the entries of matrices
+        # given as lists of rows are checked in one pass, and any other
+        # layout is walked entry by entry
+        try:
+            kinds = set(map(type, chain.from_iterable(chain.from_iterable(mats.values()))))
+        except TypeError:  # a row that is a number
+            kinds = {None}
+        if not kinds <= {int, float}:
+            for j, ((s, t), rows) in enumerate(mats.items()):
+                bad = _non_number(rows)
+                if bad is not None:
+                    raise ScenarioError(f"{path}[{j}]: matrix at ({s!r}, {t!r}) has entry {bad!r}, not a number")
         return mats
-    gen = _expect(cfg.get("generator", {}), dict, f"{where}.generator")
+    at = f"{where}.generator"
+    gen = _expect(cfg.get("generator", {}), dict, at)
     kind = gen.get("kind")
+    # the kind and its parameters are checked once, before any pair
+    if kind == "scalar":
+        value = parse_number(gen.get("value", 1.0), f"{at}.value")
+    elif kind == "diagonal":
+        diag = [parse_number(v, f"{at}.diag") for v in _expect(gen.get("diag", []), list, f"{at}.diag")]
+    elif kind == "random":
+        seed = _expect_count(gen.get("seed", 0), 0, f"{at}.seed")
+        scale = parse_number(gen.get("scale", 1.0), f"{at}.scale")
+    elif kind != "identity":
+        raise ScenarioError(f"{where}: unknown kernel generator {kind!r}")
     mats = {}
     for i, (s, t) in enumerate(relation.pairs):
         shape = (codom.dim(s), dom.dim(t))
-        if kind == "identity":
-            if shape[0] != shape[1]:
-                raise ScenarioError(f"{where}: identity generator needs square fibers at ({s}, {t})")
-            mats[(s, t)] = np.eye(shape[0])
-        elif kind == "scalar":
-            if shape[0] != shape[1]:
-                raise ScenarioError(f"{where}: scalar generator needs square fibers at ({s}, {t})")
-            mats[(s, t)] = parse_number(gen.get("value", 1.0), f"{where}.generator.value") * np.eye(shape[0])
+        if kind == "random":
+            mats[(s, t)] = scale * substream(seed, GENERATOR_TAG, i).standard_normal(shape)
         elif kind == "diagonal":
-            diag = [parse_number(v, f"{where}.generator.diag") for v in _expect(gen.get("diag", []), list, f"{where}.generator.diag")]
             if shape[0] != shape[1] or len(diag) != shape[0]:
                 raise ScenarioError(f"{where}: diagonal generator needs square fibers matching the diag length")
             mats[(s, t)] = np.diag(diag)
-        elif kind == "random":
-            seed = _expect_count(gen.get("seed", 0), 0, f"{where}.generator.seed")
-            scale = parse_number(gen.get("scale", 1.0), f"{where}.generator.scale")
-            g = substream(seed, GENERATOR_TAG, i)
-            mats[(s, t)] = scale * g.standard_normal(shape)
+        elif shape[0] != shape[1]:
+            raise ScenarioError(f"{where}: {kind} generator needs square fibers at ({s}, {t})")
         else:
-            raise ScenarioError(f"{where}: unknown kernel generator {kind!r}")
+            mats[(s, t)] = np.eye(shape[0]) if kind == "identity" else value * np.eye(shape[0])
     return mats
+
+
+def _non_number(value: Any) -> Any:
+    """The first bool or string among the leaves of nested lists, else None."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, list):
+        for item in value:
+            bad = _non_number(item)
+            if bad is not None:
+                return bad
+    return None
 
 
 def _load_kernels(data: dict, relations: dict, families: dict) -> dict[str, OperatorKernel]:

@@ -209,6 +209,47 @@ class TestRunVerb:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ['"3"', "true", "false", '"inf"'])
+    def test_non_number_matrix_entry_exits_1(self, tmp_path, capsys, entry):
+        text = (SCENARIOS / "scalar17.json").read_text()
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("[[2.0]]", f"[[{entry}]]"))
+        out = tmp_path / "out.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "mixedop: input error: kernels.P.matrices[1]: matrix at ('s1', 't2') "
+            f"has entry {json.loads(entry)!r}, not a number\n"
+        )
+        assert not out.exists()
+
+    def test_non_number_entry_of_a_row_vector_exits_1(self, tmp_path, capsys):
+        data = _minimal_scenario()
+        data["kernels"]["P"]["matrices"][0][2] = [True]  # one row given flat
+        assert main(["run", _write(tmp_path, data)]) == 1
+        assert "matrices[0]: matrix at ('s1', 't1') has entry True, not a number" in capsys.readouterr().err
+
+    def test_bare_nan_exponent_is_a_load_error(self, tmp_path, capsys):
+        text = json.dumps(_minimal_scenario()).replace("[[4, 2]]", "[[NaN, 2]]")
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "mixedop: input error: checks[0].exponents[0]: expected a number, got nan\n"
+
+    @pytest.mark.parametrize("generator, message", [
+        ({"kind": "bogus"}, "kernels.P: unknown kernel generator 'bogus'"),
+        ({"kind": "scalar", "value": "x"}, "kernels.P.generator.value: expected a number or 'inf', got 'x'"),
+        ({"kind": "diagonal", "diag": [True]}, "kernels.P.generator.diag: expected a number, got True"),
+        ({"kind": "random", "seed": -1}, "kernels.P.generator.seed: expected an integer >= 0, got -1"),
+        ({"kind": "random", "scale": None}, "kernels.P.generator.scale: expected a number, got None"),
+    ])
+    def test_bad_generator_on_empty_relation_exits_1(self, tmp_path, capsys, generator, message):
+        data = _minimal_scenario()
+        data["relations"]["lam"]["pairs"] = []
+        data["kernels"]["P"] = {"relation": "lam", "domain": "W", "codomain": "V", "generator": generator}
+        assert main(["run", _write(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+
     def test_non_finite_scalar_generator_exits_1(self, tmp_path, capsys):
         data = _minimal_scenario()
         data["kernels"]["P"] = {"relation": "lam", "domain": "W", "codomain": "V",

@@ -44,7 +44,7 @@ from mixedop.generators import (
     random_kernel,
     random_measure_space,
 )
-from mixedop.fibers import ell_power_sum
+from mixedop.fibers import ell_power_sum, weighted_power_sum
 from mixedop.kernels import (
     ASCENT_ITERATIONS,
     ASCENT_STARTS,
@@ -96,6 +96,41 @@ def _scalar_pair_instance():
         scalar_family(S),
         {("s1", "t1"): [[1.0]], ("s1", "t2"): [[2.0]]},
     )
+
+
+def _two_shape_kernel(mats):
+    """Pairs (s1, t1), (s1, t2), (s2, t1), (s2, t2) in pair order, W_t1
+    scalar and W_t2 of dim 2: two shape stacks, interleaved."""
+    S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
+    T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
+    rel = WeightedRelation(S, T, [(s, t, 1.0) for s in S.ids for t in T.ids])
+    W = FiberFamily(T, {"t1": NormSpec(2, [1.0]), "t2": NormSpec(2, [1.0, 1.0])})
+    good = {("s1", "t1"): [[1.0]], ("s1", "t2"): [[1.0, 2.0]], ("s2", "t1"): [[3.0]], ("s2", "t2"): [[4.0, 5.0]]}
+    return OperatorKernel(rel, W, scalar_family(S), {**good, **mats})
+
+
+class TestKernelConstruction:
+    def test_matrices_read_as_np_atleast_2d_does(self):
+        ker = _two_shape_kernel({("s1", "t1"): 7, ("s1", "t2"): [6.0, 8.0], ("s2", "t2"): np.array([[4, 5]])})
+        assert ker.matrix("s1", "t1").tolist() == [[7.0]]
+        assert ker.matrix("s1", "t2").tolist() == [[6.0, 8.0]]
+        assert ker.matrix("s2", "t2").dtype == float
+        assert not ker.matrix("s2", "t1").flags.writeable
+
+    @pytest.mark.parametrize("mats, error, message", [
+        ({("s1", "t2"): [[math.nan, 1.0]], ("s2", "t1"): [[1.0, 2.0]]},
+         ValueError, "matrix at ('s1', 't2') has a non-finite entry"),
+        ({("s1", "t2"): [[1.0]], ("s2", "t1"): [[math.inf]]},
+         DimensionMismatchError, "matrix at ('s1', 't2') has shape (1, 1), expected (1, 2)"),
+        ({("s2", "t1"): [[{}]], ("s2", "t2"): [[math.inf, 0.0]]},
+         ValueError, "matrix at ('s2', 't1') is not an array of numbers"),
+        ({("s1", "t1"): [[1.0], [2.0]], ("s2", "t1"): [[{}]]},
+         DimensionMismatchError, "matrix at ('s1', 't1') has shape (2, 1), expected (1, 1)"),
+    ])
+    def test_first_bad_pair_in_pair_order_names_the_error(self, mats, error, message):
+        with pytest.raises(error) as raised:
+            _two_shape_kernel(mats)
+        assert str(raised.value) == message
 
 
 class TestApplyMixed:
@@ -517,22 +552,41 @@ def _reference_matrix_norm(A, in_norm, out_norm):
 
 
 @st.composite
-def _closed_form_kernels(draw):
-    """All pairs between up to 6 x 6 atoms whose weighted fibers share a
-    few (dim, r) kinds, so several shape groups hold several matrices:
+def _closed_form_kernels(draw, fibers=False):
+    """Pairs between 2-6 targets and sources whose weighted fibers share
+    a few (dim, r) kinds, so several shape groups hold several matrices:
     dims 1-4, r in {1, 1.5, 2, 3, inf}, dense, zero and rank-one
-    matrices over six orders of magnitude."""
+    matrices over six orders of magnitude (two with ``fibers``).  By
+    default every pair is present with weight 1.  With ``fibers`` there
+    are 6-12 sources, each
+    target's fiber takes a random 0-12 of them with random weights
+    (sizes from 8 on, where ``np.sum`` turns pairwise, included), and
+    some instances have all-l2 fibers or only exponent-1 targets."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = st.tuples(st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+    every = [1.0, 1.5, 2.0, 3.0, INF]
+    mode = draw(st.sampled_from(["any", "l2", "l1"])) if fibers else "any"
 
-    def family(prefix):
-        kinds = draw(st.lists(kind, min_size=1, max_size=3))
-        base = FiniteMeasureSpace({f"{prefix}{i}": 1.0 for i in range(draw(st.integers(2, 6)))})
+    def family(prefix, count, rs=every):
+        kinds = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(rs)), min_size=1, max_size=3))
+        base = FiniteMeasureSpace({f"{prefix}{i}": 1.0 for i in range(count)})
         picks = draw(st.lists(st.sampled_from(kinds), min_size=len(base.ids), max_size=len(base.ids)))
         return FiberFamily(base, {i: NormSpec(r, g.uniform(0.2, 5.0, d)) for i, (d, r) in zip(base.ids, picks)})
 
-    W, V = family("t"), family("s")
-    pairs = [(s, t) for s in V.base.ids for t in W.base.ids]
+    W = family("t", draw(st.integers(2, 6)), {"any": every, "l2": [2.0], "l1": [1.0]}[mode])
+    V = family("s", int(g.integers(6, 13)) if fibers else draw(st.integers(2, 6)), [2.0] if mode == "l2" else every)
+    if fibers:
+        sources = list(V.base.ids)
+        pairs = [
+            (str(s), t)
+            for t in W.base.ids
+            for s in g.permutation(sources)[: g.integers(0, len(sources) + 1)]
+        ]
+        weights = g.uniform(0.1, 3.0, len(pairs))
+        spread = 1  # comparable terms, whose sums are sensitive to the order of addition
+    else:
+        pairs = [(s, t) for s in V.base.ids for t in W.base.ids]
+        weights = np.ones(len(pairs))
+        spread = 3
     shapes = draw(st.lists(st.sampled_from(["dense", "zero", "rank1"]), min_size=len(pairs), max_size=len(pairs)))
     mats = {}
     for (s, t), shape in zip(pairs, shapes):
@@ -542,8 +596,8 @@ def _closed_form_kernels(draw):
         elif shape == "rank1":
             mats[(s, t)] = np.outer(g.standard_normal(m), g.standard_normal(d))
         else:
-            mats[(s, t)] = g.standard_normal((m, d)) * 10.0 ** g.integers(-3, 4)
-    rel = WeightedRelation(V.base, W.base, [(s, t, 1.0) for s, t in pairs])
+            mats[(s, t)] = g.standard_normal((m, d)) * 10.0 ** g.integers(-spread, spread + 1)
+    rel = WeightedRelation(V.base, W.base, [(s, t, w) for (s, t), w in zip(pairs, weights.tolist())])
     return OperatorKernel(rel, W, V, mats)
 
 
@@ -558,9 +612,66 @@ class TestClosedFormFill:
             if ref is not None:
                 expected[(s, t)] = ref
                 assert matrix_operator_norm(kernel.matrix(s, t), W, V) == ref
-        kernel.matrix_norm(*kernel.pairs[0])
-        # one miss filled every closed form
-        assert {k: v for k, v in kernel._norm_cache.items() if k in expected} == expected
+
+        def shape(pair):
+            return kernel.matrix(*pair).shape
+
+        def filled():
+            return {p for p, v in zip(kernel.pairs, kernel._norm_values.tolist()) if not math.isnan(v)}
+
+        first = kernel.pairs[0]
+        kernel.matrix_norm(*first)
+        # one miss filled exactly the closed forms of its own shape stack
+        assert filled() == {p for p in expected if shape(p) == shape(first)}
+        for pair in {shape(p): p for p in kernel.pairs}.values():
+            kernel.matrix_norm(*pair)
+        # after one miss per stack, every closed form is filled as the reference
+        assert filled() == set(expected)
+        assert {p: kernel.matrix_norm(*p) for p in expected} == expected
+
+
+def _reference_effectiveness(kernel, t, q):
+    """c(t) from the closed forms one target at a time, with the norms of
+    ``matrix_operator_norm`` and per-target loops: what the stacked fill
+    must reproduce bit for bit.  None where the ascent takes over."""
+    pairs = kernel.relation.pairs_for_target(t)
+    W = kernel.domain_family.norm(t)
+    outs = [kernel.codomain_family.norm(s) for s, _ in pairs]
+    if not pairs:
+        return NormResult(0.0, EXACT)
+    if len(pairs) == 1:
+        r = matrix_operator_norm(kernel.matrix(pairs[0][0], t), W, outs[0])
+        return NormResult(pairs[0][1] ** (1.0 / q) * r.value, r.certificate)
+    lams = np.array([lam for _, lam in pairs])
+    if W.dim == 1:
+        vals = np.array([matrix_operator_norm(kernel.matrix(s, t), W, o).value for (s, _), o in zip(pairs, outs)])
+        return NormResult(weighted_power_sum(vals, lams, q), EXACT)
+    Bs = [(o.scale()[:, None] * kernel.matrix(s, t)) / W.scale()[None, :] for (s, _), o in zip(pairs, outs)]
+    bs = [o.r for o in outs]
+    if W.r == 1.0:
+        best = max(
+            weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
+            for j in range(W.dim)
+        )
+        return NormResult(best, EXACT)
+    if q == 2.0 and W.r == 2.0 and all(b == 2.0 for b in bs):
+        M = np.zeros((W.dim, W.dim))
+        for lam, B in zip(lams, Bs):
+            M += lam * (B.T @ B)
+        top = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
+        return NormResult(math.sqrt(max(top, 0.0)), EXACT)
+    return None
+
+
+class TestStackedEffectiveness:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel=_closed_form_kernels(fibers=True))
+    def test_fill_equals_reference(self, kernel):
+        for q in (1.0, 2.0, 3.0):
+            for t in kernel.relation.target.ids:
+                ref = _reference_effectiveness(kernel, t, q)
+                if ref is not None:
+                    assert fiber_effectiveness(kernel, t, q) == ref
 
 
 class TestGridOracleSanity:
