@@ -32,6 +32,7 @@ from .fibers import (
     NormSpec,
     Section,
     check_exponent,
+    ell_power_sum,
     fiber_norm,
     lp_measure_norm,
     weighted_power_sum,
@@ -177,7 +178,6 @@ class OperatorKernel:
         self._stack_of = stack_of
         # pair -> (pair index, stack, position in the stack)
         self._place = dict(zip(pairs, zip(range(len(pairs)), stack_of.tolist(), slot_of.tolist())))
-        self._conjugated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._norm_filled: set[int] = set()
         # the closed-form norms by pair index: NaN until the pair's stack
         # is filled, and where the pair has no finite closed form
@@ -231,16 +231,13 @@ class OperatorKernel:
     def _conjugate(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stack k weight-conjugated as ``matrix_operator_norm`` does it,
         the out scale on the left and the in scale divided out on the
-        right, with each pair's in and out exponents (cached)."""
-        got = self._conjugated.get(k)
-        if got is None:
-            stack, idx = self._stacks[k]
-            m, d = stack.shape[1:]
-            L = self._layout
-            src, tgt = L.source[idx], L.target[idx]
-            B = (L.out_scale[m][src][:, :, None] * stack) / L.in_scale[d][tgt][:, None, :]
-            got = self._conjugated[k] = (B, L.in_r[tgt], L.out_r[src])
-        return got
+        right, with each pair's in and out exponents (a new array)."""
+        stack, idx = self._stacks[k]
+        m, d = stack.shape[1:]
+        L = self._layout
+        src, tgt = L.source[idx], L.target[idx]
+        B = (L.out_scale[m][src][:, :, None] * stack) / L.in_scale[d][tgt][:, None, :]
+        return B, L.in_r[tgt], L.out_r[src]
 
     def _fill_norms(self, k: int) -> None:
         """Store the norm of every pair of stack k that has a closed form,
@@ -276,24 +273,19 @@ class OperatorKernel:
         inside = slots < L.size[targets][:, None]
         return np.where(inside, L.order[np.where(inside, begin + slots, 0)], -1)
 
-    def _per_pair(self, P: np.ndarray, fn: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
-        """``fn(B, b)`` on the weight-conjugated matrices of the pairs P
-        (pair indices, -1 for padding), once per (stack, out exponent)
-        group, laid out as P; zero at the padding."""
+    def _grams(self, P: np.ndarray, d: int) -> np.ndarray:
+        """``B^T B`` of the weight-conjugated matrices of the pairs P
+        (pair indices, -1 for padding), all of in dim d, once per stack,
+        laid out as P; zero at the padding."""
         n = self._stack_of.size
         wanted = np.zeros(n, dtype=bool)
         wanted[P[P >= 0]] = True
-        out = None
+        out = np.zeros((n + 1, d, d))  # one row per pair, and a zero row last for the padding
         for k in np.unique(self._stack_of[wanted]).tolist():
-            B, _, b = self._conjugate(k)
             idx = self._stacks[k][1]
             js = np.flatnonzero(wanted[idx])
-            for bk in dict.fromkeys(b[js].tolist()):
-                sel = js[b[js] == bk]
-                part = fn(B[sel], bk)
-                if out is None:  # one row per pair, and a zero row last for the padding
-                    out = np.zeros((n + 1,) + part.shape[1:])
-                out[idx[sel]] = part
+            B = self._conjugate(k)[0][js]
+            out[idx[js]] = np.swapaxes(B, 1, 2) @ B
         return out[P]
 
     def effectiveness(self, t_id: str, q: float) -> NormResult:
@@ -318,34 +310,40 @@ class OperatorKernel:
         - scalar W_t: the weighted q-power sum of the fiber's matrix
           norms, one row reduction per fiber size (no padding, since
           ``np.sum`` adds pairwise from 8 entries on);
-        - W_t with exponent 1: the max over columns of the weighted
-          q-power sums of the per-column norms, per (dim, fiber size);
         - q = 2 with all-l2 fibers: the largest eigenvalue of the sum of
           ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim.
 
-        The ascent problems are batched by the dimension and exponent of W_t.
+        A W_t with exponent 1 is solved per target, and the ascent
+        problems are batched by the dimension and exponent of W_t; both
+        read the weight-conjugated stacks, each conjugated once per fill.
         """
         cache = self._eff_cache
         T = self.relation.target.ids
         L = self._layout
         weights = np.append(self.relation.weights, 0.0)  # 0 at the padding
+        conjugated: dict[int, np.ndarray] = {}
+
+        def stack(k: int) -> np.ndarray:
+            if k not in conjugated:
+                conjugated[k] = self._conjugate(k)[0]
+            return conjugated[k]
+
         scalar: dict[int, list[int]] = {}
-        vertex: dict[tuple[int, int], list[int]] = {}
         eigen: dict[int, list[int]] = {}
         batches: dict[tuple[int, float], list] = {}
         for u, (t, n, d, r, l2) in enumerate(zip(T, L.size.tolist(), L.in_dim, L.in_r.tolist(), L.l2.tolist())):
             if (t, q) in cache:
                 continue
-            if n < 2:
-                cache[(t, q)] = _effectiveness_problem(self, t, q)
-            elif d == 1:
+            if n >= 2 and d == 1:
                 scalar.setdefault(n, []).append(u)
-            elif r == 1.0:
-                vertex.setdefault((d, n), []).append(u)
-            elif q == 2.0 and r == 2.0 and l2:
+            elif n >= 2 and q == 2.0 and r == 2.0 and l2:
                 eigen.setdefault(d, []).append(u)
             else:
-                batches.setdefault((d, r), []).append((t, _effectiveness_problem(self, t, q)))
+                problem = _effectiveness_problem(self, t, q, stack)
+                if isinstance(problem, NormResult):
+                    cache[(t, q)] = problem
+                else:
+                    batches.setdefault((d, r), []).append((t, problem))
         for n, us in scalar.items():
             P = self._fiber_matrix(us, n)
             for k in np.unique(self._stack_of[P]).tolist():
@@ -356,15 +354,9 @@ class OperatorKernel:
                 self.matrix_norm(*self.relation.pairs[P[np.isnan(norms)][0]])
             for u, value in zip(us, _power_sums(norms, q, weights[P]).tolist()):
                 cache[(T[u], q)] = NormResult(value, EXACT)
-        for (d, n), us in vertex.items():
-            P = self._fiber_matrix(us, n)
-            columns = self._per_pair(P, lambda B, b: _power_sums(np.swapaxes(B, 1, 2), b))
-            sums = _power_sums(np.swapaxes(columns, 1, 2), q, weights[P][:, None, :])
-            for u, value in zip(us, sums.max(axis=1).tolist()):
-                cache[(T[u], q)] = NormResult(value, EXACT)
         for d, us in eigen.items():
             P = self._fiber_matrix(us, int(L.size[us].max()))
-            grams = weights[P][:, :, None, None] * self._per_pair(P, lambda B, b: np.swapaxes(B, 1, 2) @ B)
+            grams = weights[P][:, :, None, None] * self._grams(P, d)
             M = np.zeros((len(us), d, d))
             for slot in range(P.shape[1]):
                 M += grams[:, slot]
@@ -446,11 +438,12 @@ class _Layout(NamedTuple):
 
         def positions(space, family):
             norms = [family.norm(atom) for atom in space.ids]
-            scale: dict[int, np.ndarray] = {}
+            dims = [N.dim for N in norms]
+            scale = {d: np.zeros((len(norms), d)) for d in set(dims)}
             for u, N in enumerate(norms):
-                scale.setdefault(N.dim, np.zeros((len(norms), N.dim)))[u] = N.scale()
+                scale[N.dim][u] = N.scale()
             number = {atom: u for u, atom in enumerate(space.ids)}
-            return number, [N.dim for N in norms], np.array([N.r for N in norms]), scale
+            return number, dims, np.array([N.r for N in norms]), scale
 
         s_number, _, out_r, out_scale = positions(rel.source, kernel.codomain_family)
         t_number, in_dim, in_r, in_scale = positions(rel.target, kernel.domain_family)
@@ -812,11 +805,12 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
 
 
 def _effectiveness_problem(
-    kernel: OperatorKernel, t_id: str, q: float
+    kernel: OperatorKernel, t_id: str, q: float, stack: Callable[[int], np.ndarray]
 ) -> NormResult | tuple[list[np.ndarray], list[float], np.ndarray]:
-    """c(t) as a ``NormResult`` for an empty or singleton fiber, or else
-    the ascent problem ``(Bs, bs, lams)`` that yields it.  The other
-    closed forms are solved in stacked passes by
+    """c(t) as a ``NormResult`` for an empty or singleton fiber or a W_t
+    with exponent 1, or else the ascent problem ``(Bs, bs, lams)`` that
+    yields it; ``stack(k)`` is stack k weight-conjugated.  Scalar W_t and
+    q = 2 with all-l2 fibers are solved in stacked passes by
     ``OperatorKernel._fill_effectiveness`` and never reach here."""
     pairs = kernel.relation.pairs_for_target(t_id)
     if not pairs:
@@ -825,10 +819,17 @@ def _effectiveness_problem(
         s, lam = pairs[0]
         r = kernel.matrix_norm(s, t_id)
         return NormResult(lam ** (1.0 / q) * r.value, r.certificate)
-    in_scale = kernel.domain_family.norm(t_id).scale()
-    outs = [kernel.codomain_family.norm(s) for s, _ in pairs]
-    Bs = [(o.scale()[:, None] * kernel.matrix(s, t_id)) / in_scale[None, :] for (s, _), o in zip(pairs, outs)]
-    return Bs, [o.r for o in outs], np.array([lam for _, lam in pairs])
+    Bs = [stack(k)[j] for _, k, j in (kernel._slot(s, t_id) for s, _ in pairs)]
+    bs = [kernel.codomain_family.norm(s).r for s, _ in pairs]
+    lams = np.array([lam for _, lam in pairs])
+    W = kernel.domain_family.norm(t_id)
+    if W.r == 1.0:
+        best = max(
+            weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
+            for j in range(W.dim)
+        )
+        return NormResult(best, EXACT)
+    return Bs, bs, lams
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:
