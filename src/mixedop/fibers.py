@@ -77,7 +77,7 @@ class NormSpec:
         w = np.array(list(weights), dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        if not all(0.0 < x < math.inf for x in w.tolist()):  # NaN fails too
             raise ValueError("weights must be strictly positive and finite")
         w.flags.writeable = False
         self.weights = w

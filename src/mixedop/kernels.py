@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -133,39 +133,27 @@ class OperatorKernel:
                 raise MissingPairError(f"matrices missing for pairs {missing[:5]}")
             raise ValueError(f"matrices given for pairs outside the relation: {sorted(given - wanted)[:5]}")
         pairs = relation.pairs
-        in_dims = {t: W.dim for t, W in domain_family.items()}
-        out_dims = {s: V.dim for s, V in codomain_family.items()}
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, (s, t) in enumerate(pairs):
-            by_shape.setdefault((out_dims[s], in_dims[t]), []).append(i)
-        # each shape group converted in one call; a group that does not
-        # convert whole to its shape is converted matrix by matrix, as
-        # np.atleast_2d reads each, up to its first failure.  The first
-        # pair in pair order that fails a check names the error.
+        # atoms are numbered by position in S.ids and T.ids
+        s_number, out_dim, self._out_r, self._out_scale = _atoms(relation.source, codomain_family)
+        t_number, in_dim, self._in_r, self._in_scale = _atoms(relation.target, domain_family)
+        source = np.array([s_number[s] for s, _ in pairs], dtype=np.intp)
+        target = np.array([t_number[t] for _, t in pairs], dtype=np.intp)
+        out_dims, in_dims = out_dim[source], in_dim[target]
+        # one stack per (out dim, in dim) shape, keyed out dim * width + in dim
+        width = int(in_dim.max(initial=0)) + 1
+        shapes, group = np.unique(out_dims * width + in_dims, return_inverse=True)
         stacks = []
-        failures: list[tuple[int, Exception]] = []
-        for shape, idx in by_shape.items():
-            group = [matrices[pairs[i]] for i in idx]
-            try:
-                stack = np.array(group, dtype=float)
-            except (TypeError, ValueError):
-                stack = None
-            if stack is None or stack.shape[1:] != shape:
-                arrays = []
-                for i, m in zip(idx, group):
-                    try:
-                        arrays.append(_one_matrix(m, pairs[i], shape))
-                    except ValueError as e:
-                        failures.append((i, e))
-                        break
-                stack = np.stack(arrays) if arrays else np.empty((0,) + shape)
-            if not np.isfinite(stack).all():
-                i = idx[int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))]
-                failures.append((i, ValueError(f"matrix at ({pairs[i][0]!r}, {pairs[i][1]!r}) has a non-finite entry")))
-            stack.flags.writeable = False
-            stacks.append((stack, np.array(idx, dtype=np.intp)))
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
+        try:
+            for k, key in enumerate(shapes.tolist()):
+                idx = np.flatnonzero(group == k)
+                stack = _read_stack(matrices, [pairs[i] for i in idx.tolist()], divmod(key, width))
+                stack.flags.writeable = False
+                stacks.append((stack, idx))
+        except ValueError:
+            # the first pair in pair order that fails a check names the error
+            for pair, shape in zip(pairs, zip(out_dims.tolist(), in_dims.tolist())):
+                _one_matrix(matrices[pair], pair, shape)
+            raise
         stack_of = np.empty(len(pairs), dtype=np.intp)
         slot_of = np.empty(len(pairs), dtype=np.intp)
         for k, (_, idx) in enumerate(stacks):
@@ -174,6 +162,15 @@ class OperatorKernel:
         self.relation = relation
         self.domain_family = domain_family
         self.codomain_family = codomain_family
+        self._source = source
+        self._target = target
+        self._in_dim = in_dim
+        # target u's fiber, in fiber order, is order[start[u]:start[u] + size[u]]
+        self._size = np.bincount(target, minlength=in_dim.size)
+        self._order = np.argsort(target, kind="stable")
+        self._start = np.cumsum(self._size) - self._size
+        # whether every V_s of the fiber of t has exponent 2
+        self._l2 = np.bincount(target, weights=self._out_r[source] != 2.0, minlength=in_dim.size) == 0
         self._stacks = stacks
         self._stack_of = stack_of
         # pair -> (pair index, stack, position in the stack)
@@ -224,20 +221,15 @@ class OperatorKernel:
             self._norm_cache[key] = cached
         return cached
 
-    @functools.cached_property
-    def _layout(self) -> _Layout:
-        return _Layout.of(self)
-
     def _conjugate(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stack k weight-conjugated as ``matrix_operator_norm`` does it,
         the out scale on the left and the in scale divided out on the
         right, with each pair's in and out exponents (a new array)."""
         stack, idx = self._stacks[k]
         m, d = stack.shape[1:]
-        L = self._layout
-        src, tgt = L.source[idx], L.target[idx]
-        B = (L.out_scale[m][src][:, :, None] * stack) / L.in_scale[d][tgt][:, None, :]
-        return B, L.in_r[tgt], L.out_r[src]
+        src, tgt = self._source[idx], self._target[idx]
+        B = (self._out_scale[m][src][:, :, None] * stack) / self._in_scale[d][tgt][:, None, :]
+        return B, self._in_r[tgt], self._out_r[src]
 
     def _fill_norms(self, k: int) -> None:
         """Store the norm of every pair of stack k that has a closed form,
@@ -267,11 +259,10 @@ class OperatorKernel:
         """The pair indices of the fibers of ``targets`` (positions in
         ``T.ids``), one row each in fiber order, padded with -1 to
         ``width``."""
-        L = self._layout
         slots = np.arange(width)
-        begin = L.start[targets][:, None]
-        inside = slots < L.size[targets][:, None]
-        return np.where(inside, L.order[np.where(inside, begin + slots, 0)], -1)
+        begin = self._start[targets][:, None]
+        inside = slots < self._size[targets][:, None]
+        return np.where(inside, self._order[np.where(inside, begin + slots, 0)], -1)
 
     def _grams(self, P: np.ndarray, d: int) -> np.ndarray:
         """``B^T B`` of the weight-conjugated matrices of the pairs P
@@ -303,8 +294,9 @@ class OperatorKernel:
     def _fill_effectiveness(self, q: float) -> None:
         """Cache c(t) at q for every target of the kernel not cached yet.
 
-        Empty and singleton fibers come from ``_effectiveness_problem``.
-        The other closed forms are solved in stacked passes, each value
+        One loop picks each target's case.  Empty and singleton fibers
+        and a W_t with exponent 1 are solved on the spot; the other
+        closed forms are solved in stacked passes, each value
         bit-identical to the same formula on one target:
 
         - scalar W_t: the weighted q-power sum of the fiber's matrix
@@ -313,37 +305,50 @@ class OperatorKernel:
         - q = 2 with all-l2 fibers: the largest eigenvalue of the sum of
           ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim.
 
-        A W_t with exponent 1 is solved per target, and the ascent
-        problems are batched by the dimension and exponent of W_t; both
-        read the weight-conjugated stacks, each conjugated once per fill.
+        The ascent problems are batched by the dimension and exponent of
+        W_t.  They and the exponent-1 targets read the weight-conjugated
+        stacks, each conjugated once per fill.
         """
         cache = self._eff_cache
         T = self.relation.target.ids
-        L = self._layout
         weights = np.append(self.relation.weights, 0.0)  # 0 at the padding
         conjugated: dict[int, np.ndarray] = {}
-
-        def stack(k: int) -> np.ndarray:
-            if k not in conjugated:
-                conjugated[k] = self._conjugate(k)[0]
-            return conjugated[k]
-
         scalar: dict[int, list[int]] = {}
         eigen: dict[int, list[int]] = {}
         batches: dict[tuple[int, float], list] = {}
-        for u, (t, n, d, r, l2) in enumerate(zip(T, L.size.tolist(), L.in_dim, L.in_r.tolist(), L.l2.tolist())):
+        layout = zip(T, self._start.tolist(), self._size.tolist(), self._in_dim.tolist(),
+                     self._in_r.tolist(), self._l2.tolist())
+        for u, (t, begin, n, d, r, l2) in enumerate(layout):
             if (t, q) in cache:
                 continue
             if n >= 2 and d == 1:
                 scalar.setdefault(n, []).append(u)
-            elif n >= 2 and q == 2.0 and r == 2.0 and l2:
+                continue
+            if n >= 2 and q == 2.0 and r == 2.0 and l2:
                 eigen.setdefault(d, []).append(u)
+                continue
+            fiber = self._order[begin:begin + n].tolist()
+            if n == 0:
+                cache[(t, q)] = NormResult(0.0, EXACT)
+            elif n == 1:
+                norm = self.matrix_norm(*self.pairs[fiber[0]])
+                cache[(t, q)] = NormResult(float(weights[fiber[0]]) ** (1.0 / q) * norm.value, norm.certificate)
             else:
-                problem = _effectiveness_problem(self, t, q, stack)
-                if isinstance(problem, NormResult):
-                    cache[(t, q)] = problem
+                Bs = []
+                for i in fiber:
+                    _, k, j = self._place[self.pairs[i]]
+                    if k not in conjugated:
+                        conjugated[k] = self._conjugate(k)[0]
+                    Bs.append(conjugated[k][j])
+                bs, lams = self._out_r[self._source[fiber]].tolist(), weights[fiber]
+                if r == 1.0:
+                    best = max(
+                        weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
+                        for j in range(d)
+                    )
+                    cache[(t, q)] = NormResult(best, EXACT)
                 else:
-                    batches.setdefault((d, r), []).append((t, problem))
+                    batches.setdefault((d, r), []).append((t, (Bs, bs, lams)))
         for n, us in scalar.items():
             P = self._fiber_matrix(us, n)
             for k in np.unique(self._stack_of[P]).tolist():
@@ -355,7 +360,7 @@ class OperatorKernel:
             for u, value in zip(us, _power_sums(norms, q, weights[P]).tolist()):
                 cache[(T[u], q)] = NormResult(value, EXACT)
         for d, us in eigen.items():
-            P = self._fiber_matrix(us, int(L.size[us].max()))
+            P = self._fiber_matrix(us, int(self._size[us].max()))
             grams = weights[P][:, :, None, None] * self._grams(P, d)
             M = np.zeros((len(us), d, d))
             for slot in range(P.shape[1]):
@@ -413,59 +418,48 @@ class OperatorKernel:
         return f"OperatorKernel({len(self.pairs)} pairs)"
 
 
-class _Layout(NamedTuple):
-    """A kernel's pairs and fibers as index arrays, built once on demand.
+def _atoms(space, family: FiberFamily) -> tuple[dict[str, int], np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Per atom of ``space``: its position in ``space.ids`` by id, and
+    the dim and exponent of its fiber; per dim d, the scale of each fiber
+    of dim d (zero rows elsewhere)."""
+    norms = [family.norm(atom) for atom in space.ids]
+    dims = [N.dim for N in norms]
+    scale = {d: np.zeros((len(norms), d)) for d in set(dims)}
+    for u, (N, d) in enumerate(zip(norms, dims)):
+        scale[d][u] = N.scale()
+    number = {atom: u for u, atom in enumerate(space.ids)}
+    return number, np.array(dims, dtype=np.intp), np.array([N.r for N in norms]), scale
 
-    Atoms are numbered by position in ``S.ids`` and ``T.ids``.  Target
-    u's fiber, in fiber order, is ``order[start[u]:start[u] + size[u]]``.
-    """
 
-    source: np.ndarray  # source position of each pair
-    target: np.ndarray  # target position of each pair
-    in_dim: list[int]  # dim of each W_t
-    in_r: np.ndarray  # exponent of each W_t
-    out_r: np.ndarray  # exponent of each V_s
-    in_scale: dict[int, np.ndarray]  # per dim d, the scale of each W_t of dim d (0 rows elsewhere)
-    out_scale: dict[int, np.ndarray]  # the same for the V_s
-    order: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
-    l2: np.ndarray  # whether every V_s of the fiber of t has exponent 2
-
-    @classmethod
-    def of(cls, kernel: OperatorKernel) -> "_Layout":
-        rel = kernel.relation
-
-        def positions(space, family):
-            norms = [family.norm(atom) for atom in space.ids]
-            dims = [N.dim for N in norms]
-            scale = {d: np.zeros((len(norms), d)) for d in set(dims)}
-            for u, N in enumerate(norms):
-                scale[N.dim][u] = N.scale()
-            number = {atom: u for u, atom in enumerate(space.ids)}
-            return number, dims, np.array([N.r for N in norms]), scale
-
-        s_number, _, out_r, out_scale = positions(rel.source, kernel.codomain_family)
-        t_number, in_dim, in_r, in_scale = positions(rel.target, kernel.domain_family)
-        source = np.array([s_number[s] for s, _ in rel.pairs], dtype=np.intp)
-        target = np.array([t_number[t] for _, t in rel.pairs], dtype=np.intp)
-        size = np.bincount(target, minlength=len(in_dim))
-        non_l2 = np.bincount(target, weights=out_r[source] != 2.0, minlength=len(in_dim))
-        return cls(
-            source, target, in_dim, in_r, out_r, in_scale, out_scale,
-            np.argsort(target, kind="stable"), np.cumsum(size) - size, size, non_l2 == 0,
-        )
+def _read_stack(matrices: Mapping, pairs: list[tuple[str, str]], shape: tuple[int, int]) -> np.ndarray:
+    """The matrices of ``pairs``, one shape group, as one stack, converted
+    in one call; a group that does not convert whole to its shape, or is
+    not finite, is read matrix by matrix (``_one_matrix``)."""
+    group = [matrices[pair] for pair in pairs]
+    try:
+        stack = np.array(group, dtype=float)
+        if stack.shape[1:] == shape and np.isfinite(stack).all():
+            return stack
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.stack([_one_matrix(m, pair, shape) for m, pair in zip(group, pairs)])
 
 
 def _one_matrix(m, pair: tuple[str, str], shape: tuple[int, int]) -> np.ndarray:
-    """One matrix as ``np.atleast_2d`` reads it, checked against its shape;
-    ragged rows raise numpy's own ValueError."""
+    """One matrix as ``np.atleast_2d`` reads it, checked against its shape
+    and for finite entries; every failure is a ValueError (ragged rows
+    raise numpy's own)."""
+    where = f"matrix at ({pair[0]!r}, {pair[1]!r})"
     try:
         a = np.atleast_2d(np.asarray(m, dtype=float))
     except TypeError:  # an entry that is neither a number nor a sequence
-        raise ValueError(f"matrix at ({pair[0]!r}, {pair[1]!r}) is not an array of numbers") from None
+        raise ValueError(f"{where} is not an array of numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{where} has an entry too large for a float") from None
     if a.shape != shape:
-        raise DimensionMismatchError(f"matrix at ({pair[0]!r}, {pair[1]!r}) has shape {a.shape}, expected {shape}")
+        raise DimensionMismatchError(f"{where} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{where} has a non-finite entry")
     return a
 
 
@@ -596,14 +590,7 @@ def _sum_slots(stacks: list[_Stack], parts: list[np.ndarray], width: int, n: int
     return out.reshape((width, n) + parts[0].shape[1:]).sum(axis=0)
 
 
-def _ascent(
-    problems: list[tuple[list[np.ndarray], list[float], np.ndarray]],
-    a: float,
-    q: float,
-    starts: int = ASCENT_STARTS,
-    iterations: int = ASCENT_ITERATIONS,
-    tol: float = ASCENT_TOL,
-) -> np.ndarray:
+def _ascent(problems: list[tuple[list[np.ndarray], list[float], np.ndarray]], a: float, q: float) -> np.ndarray:
     """Multistart fixed-point ascent for sup (sum_s lam_s ||B_s e||_{b_s}^q)^(1/q)
     on the unit sphere of the unweighted a-norm, for a batch of problems
     ``(Bs, bs, lams)`` sharing the input dimension; one best value each.
@@ -619,7 +606,7 @@ def _ascent(
     same scalar exponent as for a problem solved alone, and per-problem
     sums run in the problem's own matrix order: each value is
     bit-identical to a batch of one.  A problem leaves the batch once
-    all its starts have moved by at most ``tol``.
+    all its starts have moved by at most ``ASCENT_TOL``.
     """
     n = len(problems)
     width = max(len(Bs) for Bs, _, _ in problems)
@@ -637,12 +624,12 @@ def _ascent(
         )
         for (_, b), items in groups.items()
     ]
-    X0 = _normalize_columns(_ascent_starts(problems[0][0][0].shape[1], starts), a)
+    X0 = _normalize_columns(_ascent_starts(problems[0][0][0].shape[1], ASCENT_STARTS), a)
     X = np.repeat(X0[None], n, axis=0)
     live = np.arange(n)
     best = np.zeros(n)
-    prev = np.full((n, starts), -1.0)
-    for _ in range(iterations):
+    prev = np.full((n, ASCENT_STARTS), -1.0)
+    for _ in range(ASCENT_ITERATIONS):
         single = width == 1 and len(stacks) == 1
         parts = []
         for st in stacks:
@@ -651,7 +638,7 @@ def _ascent(
             parts.append(st.lam * st.V ** q)
         vals = _sum_slots(stacks, parts, width, len(live)) ** (1.0 / q)
         best[live] = np.fmax(best[live], vals.max(axis=1))
-        done = (np.abs(vals - prev) <= tol * np.maximum(vals, 1.0)).all(axis=1)
+        done = (np.abs(vals - prev) <= ASCENT_TOL * np.maximum(vals, 1.0)).all(axis=1)
         prev = vals
         if done.any():
             mask = ~done
@@ -802,34 +789,6 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     if math.isinf(q):
         raise UnsupportedExponentsError("fiber effectiveness needs finite q")
     return kernel.effectiveness(t_id, q)
-
-
-def _effectiveness_problem(
-    kernel: OperatorKernel, t_id: str, q: float, stack: Callable[[int], np.ndarray]
-) -> NormResult | tuple[list[np.ndarray], list[float], np.ndarray]:
-    """c(t) as a ``NormResult`` for an empty or singleton fiber or a W_t
-    with exponent 1, or else the ascent problem ``(Bs, bs, lams)`` that
-    yields it; ``stack(k)`` is stack k weight-conjugated.  Scalar W_t and
-    q = 2 with all-l2 fibers are solved in stacked passes by
-    ``OperatorKernel._fill_effectiveness`` and never reach here."""
-    pairs = kernel.relation.pairs_for_target(t_id)
-    if not pairs:
-        return NormResult(0.0, EXACT)
-    if len(pairs) == 1:
-        s, lam = pairs[0]
-        r = kernel.matrix_norm(s, t_id)
-        return NormResult(lam ** (1.0 / q) * r.value, r.certificate)
-    Bs = [stack(k)[j] for _, k, j in (kernel._slot(s, t_id) for s, _ in pairs)]
-    bs = [kernel.codomain_family.norm(s).r for s, _ in pairs]
-    lams = np.array([lam for _, lam in pairs])
-    W = kernel.domain_family.norm(t_id)
-    if W.r == 1.0:
-        best = max(
-            weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
-            for j in range(W.dim)
-        )
-        return NormResult(best, EXACT)
-    return Bs, bs, lams
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:

@@ -36,7 +36,10 @@ def parse_number(value: Any, where: str) -> float:
         raise ScenarioError(f"{where}: expected a number or 'inf', got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: integer too large for a float") from None
 
 
 def _expect_count(value: Any, minimum: int, where: str) -> int:

@@ -417,6 +417,64 @@ class TestPhiMetamorphic:
             assert smaller <= phi_value(ker, [*subset, t], p, q).value
 
 
+def _renamed(ker):
+    """The same instance with every atom renamed so that the order of
+    each space, and so every fiber order and sum order, is reversed."""
+    rel = ker.relation
+
+    def names(space, prefix):
+        return {a: f"{prefix}{len(space.ids) - i:04d}" for i, a in enumerate(space.ids)}
+
+    sn, tn = names(rel.source, "u"), names(rel.target, "v")
+    S = FiniteMeasureSpace({sn[a]: w for a, w in rel.source.items()})
+    T = FiniteMeasureSpace({tn[a]: w for a, w in rel.target.items()})
+    W = FiberFamily(T, {tn[t]: ker.domain_family.norm(t) for t in rel.target.ids})
+    V = FiberFamily(S, {sn[s]: ker.codomain_family.norm(s) for s in rel.source.ids})
+    renamed = WeightedRelation(S, T, [(sn[s], tn[t], w) for s, t, w in rel.items()])
+    return OperatorKernel(renamed, W, V, {(sn[s], tn[t]): ker.matrix(s, t) for s, t in rel.pairs})
+
+
+# exact-certificate families: scalar fibers at any q, exponent-1 fibers
+# at any q (vertex closed forms), l2 fibers at q = 2 (eigenvalue closed form)
+_EXACT_FAMILIES = {
+    "scalar": (lambda seed: random_scalar_instance(seed, max_atoms=12), PQ_ABOVE + [(2.0, 2.0)]),
+    "l1": (lambda seed: random_instance(seed, exponents=(1.0,)), PQ_ABOVE + [(1.5, 1.5)]),
+    "l2": (lambda seed: random_instance(seed, exponents=(2.0,)), [(2.0, 2.0), (3.0, 2.0), (4.0, 2.0), (6.0, 2.0)]),
+}
+
+
+class TestNormMetamorphic:
+    """Laws of the exact norm and the general criterion on
+    exact-certificate instances, each to 1e-12 relative."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_EXACT_FAMILIES)),
+        seed=st.integers(0, 10**6),
+        pick=st.integers(0, 10**3),
+        c=st.sampled_from([1e-3, 0.5, 2.0, 3.7, 250.0]),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_laws(self, family, seed, pick, c, sign):
+        make, pqs = _EXACT_FAMILIES[family]
+        ker = make(seed)
+        p, q = pqs[pick % len(pqs)]
+
+        def both(kernel):
+            results = exact_norm_decoupled(kernel, p, q), criterion_general_result(kernel, p, q)
+            assert all(r.certificate == EXACT for r in results)
+            return np.array([r.value for r in results])
+
+        base = both(ker)
+        close = dict(rel=1e-12, abs=0.0)
+        assert both(_scaled_lambda(ker, c)) == pytest.approx(c ** (1.0 / q) * base, **close)
+        assert both(_scaled_mu(ker, c)) == pytest.approx(c ** (-1.0 / p) * base, **close)
+        assert both(ker.scaled(sign * c)) == pytest.approx(c * base, **close)
+        assert both(_renamed(ker)) == pytest.approx(base, **close)
+        norm, criterion = base
+        assert criterion >= norm * (1.0 - 1e-12)
+
+
 def _reference_oracle(kernel, p, q, n, seed):
     """The sampling oracle as one loop over atoms with every value
     recomputed per call: the arithmetic that the kernel's kept samples

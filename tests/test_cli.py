@@ -432,6 +432,25 @@ class TestMalformedNames:
         assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
 
 
+class TestHugeIntegers:
+    """A JSON integer beyond the float range is an input error at its place."""
+
+    @pytest.mark.parametrize("path, message", [
+        (("spaces", "S", "s1"), "spaces.S.s1: integer too large for a float"),
+        (("relations", "lam", "pairs", 0, 2), "relations.lam.pairs: integer too large for a float"),
+        (("families", "W", "fibers", "t1", "weights", 0),
+         "families.W.fibers.t1.weights: integer too large for a float"),
+        (("checks", 1, "exponents", 0, 0), "checks[1].exponents[0]: integer too large for a float"),
+        (("kernels", "P", "matrices", 1, 2, 0, 0),
+         "kernels.P: matrix at ('s1', 't2') has an entry too large for a float"),
+    ])
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys, path, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, "scalar17", path, 10**400), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
 def test_bundled_csv_matches_reference_bytes(scenario, tmp_path):
     out = tmp_path / "out.csv"

@@ -88,6 +88,11 @@ class TestFiberNorm:
         with pytest.raises(ValueError):
             NormSpec(2, [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_weight_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^weights must be strictly positive and finite$"):
+            NormSpec(2, [1.0, bad, 2.0])
+
 
 class TestDirectIntegralNorm:
     def test_two_scalar_fibers(self):

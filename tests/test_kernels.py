@@ -132,6 +132,30 @@ class TestKernelConstruction:
             _two_shape_kernel(mats)
         assert str(raised.value) == message
 
+    def test_overflow_in_a_group_converted_first_loses_to_an_earlier_pair(self):
+        # the (1, 1) stack holds pairs 0 and 2 and is converted first; the
+        # bad shape at pair 1, in the (1, 2) stack, comes first in pair order
+        with pytest.raises(DimensionMismatchError) as raised:
+            _two_shape_kernel({("s2", "t1"): [[10**400]], ("s1", "t2"): [[1.0]]})
+        assert str(raised.value) == "matrix at ('s1', 't2') has shape (1, 1), expected (1, 2)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), density=st.sampled_from([0.1, 0.4, 1.0]))
+    def test_index_arrays_give_the_relation_fibers(self, seed, density):
+        ker = random_instance(seed, max_atoms=10, density=density)
+        rel = ker.relation
+        T = rel.target.ids
+        width = int(ker._size.max(initial=0))
+        rows = ker._fiber_matrix(list(range(len(T))), width).tolist()
+        for u, (t, row) in enumerate(zip(T, rows)):
+            begin = int(ker._start[u])
+            fiber = ker._order[begin:begin + int(ker._size[u])].tolist()
+            assert row == fiber + [-1] * (width - len(fiber))
+            assert [rel.pairs[i] for i in fiber] == [(s, t) for s, _ in rel.pairs_for_target(t)]
+            assert [float(rel.weights[i]) for i in fiber] == [w for _, w in rel.pairs_for_target(t)]
+            assert [rel.source.ids[j] for j in ker._source[fiber]] == [s for s, _ in rel.pairs_for_target(t)]
+            assert (ker._target[fiber] == u).all()
+
 
 class TestApplyMixed:
     def test_identity_kernel(self):
