@@ -46,9 +46,6 @@ from .fibers import (
     Section,
     direct_integral_norm,
     fiber_norm,
-    grid_section,
-    mixed_as_direct_integral,
-    mixed_norm,
     scalar_family,
 )
 from .kernels import (
@@ -84,6 +81,9 @@ from .mixedcomp import (
     compose_apply,
     criterion_mixed_composition,
     direct_integral_instance,
+    grid_section,
+    mixed_as_direct_integral,
+    mixed_norm,
     mixed_product_density_norm,
     slice_volume_derivatives,
 )

@@ -49,6 +49,7 @@ from .rng import SECTION_TAG, substream
 EQUALITY_TOL = 1e-9
 EXACT_SLACK = 1e-9
 LOWER_BOUND_SLACK = 1e-6
+HYPOTHESIS_TOL = 1e-9  # relative slack of the kernel-norm hypotheses of the criteria
 
 
 def _finite_pair(p, q) -> tuple[float, float, float]:
@@ -130,11 +131,11 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
 
-def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q, tol: float = 1e-9) -> float:
+def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> float:
     """Criterion when the kernel norm depends on t alone: ||rho J^(1/q)||_{L^kappa(T)}.
 
     The hypothesis ||P(s, t)|| = rho(t) is verified across every fiber
-    F_t within ``tol``; J = d(lambda_T)/d(mu) is the marginal density.
+    F_t within HYPOTHESIS_TOL; J = d(lambda_T)/d(mu) is the marginal density.
     """
     p, q, k = _finite_pair(p, q)
     rel = kernel.relation
@@ -144,7 +145,7 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q, tol: float
             raise UnknownAtomError(f"rho not defined on atom {t!r}")
     for (s, t) in rel.pairs:
         got = kernel.matrix_norm(s, t).value
-        if not (abs(got - rho[t]) <= tol * max(1.0, rho[t])):
+        if not (abs(got - rho[t]) <= HYPOTHESIS_TOL * max(1.0, rho[t])):
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} differs from rho({t!r}) = {rho[t]:.12g}"
             )
@@ -196,7 +197,7 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
 
 
 def criterion_uniform_bounds(
-    kernel: OperatorKernel, psi: AtomMap, c: float, C: float, p, q, tol: float = 1e-9
+    kernel: OperatorKernel, psi: AtomMap, c: float, C: float, p, q
 ) -> UniformBoundsCriterion:
     """Criterion under two-sided kernel-norm bounds c <= ||P|| <= C.
 
@@ -219,7 +220,7 @@ def criterion_uniform_bounds(
             )
     for (s, t) in rel.pairs:
         got = kernel.matrix_norm(s, t).value
-        if got < c - tol * max(1.0, c) or got > C + tol * max(1.0, C):
+        if got < c - HYPOTHESIS_TOL * max(1.0, c) or got > C + HYPOTHESIS_TOL * max(1.0, C):
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} outside [{c:.12g}, {C:.12g}]"
             )

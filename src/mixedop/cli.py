@@ -13,10 +13,10 @@ seed produce byte-identical files (wall times are written as 0 unless
 --timing is passed).
 
 Flags may also be set through environment variables prefixed with the
-tool name: MIXEDOP_SEED, MIXEDOP_SAMPLES, MIXEDOP_OUT, MIXEDOP_TOLERANCE
-(run and phi-audit only); a value that does not parse, a count below 1
-(samples, partitions), a negative seed and a negative or non-finite
-tolerance are input errors.
+tool name: MIXEDOP_SEED, MIXEDOP_OUT, MIXEDOP_SAMPLES (run and sweep
+only), MIXEDOP_TOLERANCE (run and phi-audit only); a value that does
+not parse, a count below 1 (samples, partitions), a negative seed and a
+negative or non-finite tolerance are input errors.
 """
 
 from __future__ import annotations
@@ -173,11 +173,7 @@ def _execute_check(
         row.update(value=worst)
         if not (worst <= tolerance):
             row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
-    elif kind == "mixedcomp":
-        if sc.mixed is None:
-            raise ScenarioError("mixedcomp check needs a mixed_composition block")
-        if alpha is None:
-            raise ScenarioError("mixedcomp check needs [p, q, alpha, beta] exponents")
+    elif kind == "mixedcomp":  # the loader checked the block and the 4-tuples
         value = criterion_mixed_composition(sc.mixed, p, q, alpha, beta)
         instance, _ = direct_integral_instance(sc.mixed, alpha, beta)
         brute = exact_norm_decoupled(instance, p, q)
@@ -363,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("scenario", help="path to a scenario JSON file")
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
         sp.add_argument("--seed", type=_integer(0), default=None, help="override check seeds")
-        sp.add_argument("--samples", type=_integer(1), default=None, help="override oracle sample counts")
         sp.add_argument("--timing", action="store_true", help="record wall times (breaks byte-determinism)")
 
     sp_run = sub.add_parser("run", help="execute every check in the scenario")
@@ -378,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     add_common(sp_audit)
     sp_audit.add_argument("--partitions", type=_integer(1), default=50, help="random partitions per pair")
 
+    for sp in (sp_run, sp_sweep):
+        sp.add_argument("--samples", type=_integer(1), default=None, help="override oracle sample counts")
     for sp in (sp_run, sp_audit):
         sp.add_argument("--tolerance", type=_tolerance, default=None, help="assertion tolerance")
 
@@ -385,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         seed = _setting(args.seed, "SEED", _integer(0))
-        samples = _setting(args.samples, "SAMPLES", _integer(1))
+        samples = None if args.verb == "phi-audit" else _setting(args.samples, "SAMPLES", _integer(1))
         out = _setting(args.out, "OUT", str)
         if args.verb == "sweep":
             return sweep(

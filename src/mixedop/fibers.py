@@ -1,6 +1,5 @@
 """Finite-dimensional weighted r-norm fibers, sections over atomic bases,
-L^p direct-integral norms, and mixed (q, alpha) norms together with
-their direct-integral representation.
+and L^p direct-integral norms.
 
 Exponents live in [1, inf]; ``math.inf`` is the distinguished infinite
 value and every formula takes its max-limit there.  Scalar (dim-1)
@@ -210,92 +209,3 @@ def direct_integral_norm(f: Section, fam: FiberFamily, p) -> float:
     fam.validate_section(f)
     vals = np.array([fiber_norm(f[i], fam.norm(i)) for i in fam.base.ids])
     return lp_measure_norm(vals, fam.base.weights, p)
-
-
-def _slices(cells: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for s, x in cells:
-        out.setdefault(s, []).append(x)
-    for s in out:
-        out[s].sort()
-    return out
-
-
-def mixed_norm(
-    g: Mapping[tuple[str, str], float],
-    nu: FiniteMeasureSpace,
-    eta: FiniteMeasureSpace,
-    q,
-    alpha,
-) -> float:
-    """Mixed Lebesgue norm on a grid Omega inside S x X.
-
-    Inner alpha-aggregation over each slice Omega_s with eta weights,
-    outer q-aggregation over S with nu weights.  Empty slices contribute
-    zero; inf exponents become maxima (ess-sup).
-    """
-    q = check_exponent(q)
-    alpha = check_exponent(alpha)
-    slices = _slices(g.keys())
-    for s in slices:
-        if s not in nu:
-            raise UnknownAtomError(f"grid names unknown outer atom {s!r}")
-        for x in slices[s]:
-            if x not in eta:
-                raise UnknownAtomError(f"grid names unknown inner atom {x!r}")
-    inner = np.zeros(len(nu.ids))
-    for k, s in enumerate(nu.ids):
-        xs = slices.get(s, [])
-        if not xs:
-            continue
-        vals = np.array([g[(s, x)] for x in xs], dtype=float)
-        wts = np.array([eta.weight(x) for x in xs])
-        inner[k] = lp_measure_norm(vals, wts, alpha)
-    return lp_measure_norm(inner, nu.weights, q)
-
-
-def mixed_as_direct_integral(
-    cells: Iterable[tuple[str, str]],
-    nu: FiniteMeasureSpace,
-    eta: FiniteMeasureSpace,
-    alpha,
-) -> FiberFamily:
-    """Fiber family realizing L^{q,alpha}(Omega) as an L^q direct integral.
-
-    The fiber over s is the slice space L^alpha(Omega_s, eta): dimension
-    |Omega_s|, weighted alpha-norm with eta weights (unit weights when
-    alpha = inf, where the ess-sup ignores atom mass).  Outer atoms with
-    empty slices are dropped from the base; they contribute nothing to
-    either norm route.
-    """
-    alpha = check_exponent(alpha)
-    slices = _slices(cells)
-    for s, xs in slices.items():
-        if s not in nu:
-            raise UnknownAtomError(f"grid names unknown outer atom {s!r}")
-        if len(set(xs)) != len(xs):
-            raise ValueError(f"duplicate cells in slice of {s!r}")
-        for x in xs:
-            if x not in eta:
-                raise UnknownAtomError(f"grid names unknown inner atom {x!r}")
-    base = nu.restrict(slices.keys())
-    fibers = {}
-    for s, xs in slices.items():
-        if math.isinf(alpha):
-            w = np.ones(len(xs))
-        else:
-            w = np.array([eta.weight(x) for x in xs])
-        fibers[s] = NormSpec(alpha, w)
-    return FiberFamily(base, fibers)
-
-
-def grid_section(
-    g: Mapping[tuple[str, str], float], cells: Iterable[tuple[str, str]]
-) -> Section:
-    """Reshape grid values into the section matching mixed_as_direct_integral.
-
-    Slice cells are read in canonical (sorted) inner order, the same
-    order the fiber weights were laid out in.
-    """
-    slices = _slices(cells)
-    return Section({s: [g[(s, x)] for x in xs] for s, xs in slices.items()})

@@ -23,12 +23,10 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     return substream(seed, GENERATOR_TAG, *path)
 
 
-def random_measure_space(
-    prefix: str, n: int, seed: int, low: float = 0.5, high: float = 2.0
-) -> FiniteMeasureSpace:
+def random_measure_space(prefix: str, n: int, seed: int) -> FiniteMeasureSpace:
     g = _stream(seed, 0)
     return FiniteMeasureSpace(
-        {f"{prefix}{i:03d}": float(w) for i, w in enumerate(g.uniform(low, high, n))}
+        {f"{prefix}{i:03d}": float(w) for i, w in enumerate(g.uniform(0.5, 2.0, n))}
     )
 
 
@@ -37,8 +35,6 @@ def random_relation(
     T: FiniteMeasureSpace,
     seed: int,
     density: float = 0.3,
-    low: float = 0.5,
-    high: float = 2.0,
 ) -> WeightedRelation:
     """Bernoulli selection of pairs with uniform weights; never empty."""
     g = _stream(seed, 1)
@@ -46,9 +42,9 @@ def random_relation(
     for s in S.ids:
         for t in T.ids:
             if g.uniform() < density:
-                pairs.append((s, t, float(g.uniform(low, high))))
+                pairs.append((s, t, float(g.uniform(0.5, 2.0))))
     if not pairs:
-        pairs.append((S.ids[0], T.ids[0], float(g.uniform(low, high))))
+        pairs.append((S.ids[0], T.ids[0], float(g.uniform(0.5, 2.0))))
     return WeightedRelation(S, T, pairs)
 
 
@@ -72,22 +68,19 @@ def random_kernel(
     domain_family: FiberFamily,
     codomain_family: FiberFamily,
     seed: int,
-    scale: float = 1.0,
 ) -> OperatorKernel:
     mats = {}
     for i, (s, t) in enumerate(relation.pairs):
         g = _stream(seed, 4, i)
-        mats[(s, t)] = scale * g.standard_normal(
+        mats[(s, t)] = g.standard_normal(
             (codomain_family.dim(s), domain_family.dim(t))
         )
     return OperatorKernel(relation, domain_family, codomain_family, mats)
 
 
-def random_density(
-    space: FiniteMeasureSpace, seed: int, low: float = 0.1, high: float = 3.0
-) -> DensityFn:
+def random_density(space: FiniteMeasureSpace, seed: int) -> DensityFn:
     g = _stream(seed, 6)
-    return DensityFn({i: float(w) for i, w in zip(space.ids, g.uniform(low, high, len(space)))})
+    return DensityFn({i: float(w) for i, w in zip(space.ids, g.uniform(0.1, 3.0, len(space)))})
 
 
 def random_atom_map(S: FiniteMeasureSpace, T: FiniteMeasureSpace, seed: int) -> AtomMap:
@@ -118,23 +111,23 @@ def random_noninjective_atom_map(
     return AtomMap(S, T, table)
 
 
-def random_subset(ids, seed: int, keep_probability: float = 0.5) -> list[str]:
+def random_subset(ids, seed: int) -> list[str]:
     g = _stream(seed, 10)
-    return [i for i in ids if g.uniform() < keep_probability]
+    return [i for i in ids if g.uniform() < 0.5]
 
 
-def random_partition_labels(n: int, seed: int, max_parts: int = 4) -> np.ndarray:
+def random_partition_labels(n: int, seed: int) -> np.ndarray:
     """The block label of each of n items under ``random_partition``."""
     g = _stream(seed, 11)
-    k = int(g.integers(1, max_parts + 1))
+    k = int(g.integers(1, 5))
     return g.integers(k, size=n)
 
 
-def random_partition(ids, seed: int, max_parts: int = 4) -> list[list[str]]:
+def random_partition(ids, seed: int) -> list[list[str]]:
     """Disjoint blocks covering all ids (empty blocks dropped), in label
     order, each block in the order of ``ids``."""
     ids = list(ids)
-    labels = random_partition_labels(len(ids), seed, max_parts)
+    labels = random_partition_labels(len(ids), seed)
     return [[ids[i] for i in np.flatnonzero(labels == b)] for b in np.flatnonzero(np.bincount(labels))]
 
 

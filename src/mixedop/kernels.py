@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     MissingPairError,
+    MixedOpError,
     NonFiniteResultError,
     UnknownAtomError,
     UnsupportedExponentsError,
@@ -54,6 +55,9 @@ _START_SEED = 0x9E3779B9
 # grid oracle resolution: full circle / sphere, then one refinement pass
 CIRCLE_POINTS = 10_000
 SPHERE_POINTS = 100_000
+
+# the sampling oracle keeps |T| x samples float64 values: at most 800 MB
+ORACLE_MAX_ENTRIES = 10**8
 
 
 def kappa(p, q) -> float:
@@ -378,12 +382,17 @@ class OperatorKernel:
         row i holds the objective of ``effectiveness_objective`` at the
         ``samples`` seeded unit directions of target i (``T.ids`` order),
         zero for an atom whose fiber is empty.  Read-only; |T| x samples
-        float64 entries.
+        float64 entries, refused above ORACLE_MAX_ENTRIES.
         """
         key = (q, seed, samples)
         C = self._sample_cache.get(key)
         if C is None:
             T = self.relation.target
+            if len(T.ids) * samples > ORACLE_MAX_ENTRIES:
+                raise MixedOpError(
+                    f"the sampling oracle needs |T| x samples = {len(T.ids)} x {samples}"
+                    f" float64 values, above its bound of {ORACLE_MAX_ENTRIES} (800 MB)"
+                )
             C = np.zeros((len(T.ids), samples))
             for i, t in enumerate(T.ids):
                 if not self.relation.pairs_for_target(t):

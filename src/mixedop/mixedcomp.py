@@ -1,5 +1,10 @@
-"""Composition operators between mixed-norm spaces induced by split
-mappings phi(s, x) = (psi(s), u(s, x)) on finite grids.
+"""Mixed-norm grids, mixed (q, alpha) norms and their direct-integral
+representation, and composition operators between mixed-norm spaces
+induced by split mappings phi(s, x) = (psi(s), u(s, x)).
+
+A MixedDomain is the one owner of a grid Omega inside outer x inner: it
+checks the cells and orders each slice Omega_s, and every function here
+reads its slices from it.
 
 The boundedness criterion multiplies the outer volume derivative of psi
 by the per-slice volume derivatives of the u maps and takes a mixed
@@ -14,12 +19,13 @@ construction: a SplitMapping carries a single outer map psi.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import NotInjectiveError, SliceRangeError, UnknownAtomError
-from .fibers import lp_measure_norm, mixed_as_direct_integral, mixed_norm
+from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm
 from .kernels import OperatorKernel, kappa
 from .measure import (
     AtomMap,
@@ -69,6 +75,66 @@ class MixedDomain:
 
     def __repr__(self) -> str:
         return f"MixedDomain({len(self.outer)} x {len(self.inner)} atoms, {len(self.cells)} cells)"
+
+
+def _require_defined(g: Mapping[tuple[str, str], float], grid: MixedDomain) -> None:
+    for cell in grid.cells:
+        if cell not in g:
+            raise UnknownAtomError(f"function not defined on cell {cell!r}")
+
+
+def _slice_norms(values, grid: MixedDomain, alpha: float) -> np.ndarray:
+    """The L^alpha(Omega_s) norm of ``values`` (cell -> number) over each
+    slice, in outer atom order; zero on an empty slice."""
+    out = np.zeros(len(grid.outer.ids))
+    for k, s in enumerate(grid.outer.ids):
+        xs = grid.slice(s)
+        if xs:
+            vals = np.array([values[(s, x)] for x in xs], dtype=float)
+            out[k] = lp_measure_norm(vals, np.array([grid.inner.weight(x) for x in xs]), alpha)
+    return out
+
+
+def mixed_norm(g: Mapping[tuple[str, str], float], grid: MixedDomain, q, alpha) -> float:
+    """Mixed Lebesgue norm of g on the grid Omega.
+
+    Inner alpha-aggregation over each slice Omega_s with the inner
+    weights, outer q-aggregation over the outer atoms with theirs.
+    Empty slices contribute zero; inf exponents become maxima (ess-sup).
+    """
+    q = check_exponent(q)
+    alpha = check_exponent(alpha)
+    _require_defined(g, grid)
+    return lp_measure_norm(_slice_norms(g, grid, alpha), grid.outer.weights, q)
+
+
+def mixed_as_direct_integral(grid: MixedDomain, alpha) -> FiberFamily:
+    """Fiber family realizing L^{q,alpha}(Omega) as an L^q direct integral.
+
+    The fiber over s is the slice space L^alpha(Omega_s, eta): dimension
+    |Omega_s|, weighted alpha-norm with eta weights (unit weights when
+    alpha = inf, where the ess-sup ignores atom mass).  Outer atoms with
+    empty slices are dropped from the base; they contribute nothing to
+    either norm route.
+    """
+    alpha = check_exponent(alpha)
+    used = [s for s in grid.outer.ids if grid.slice(s)]
+    fibers = {}
+    for s in used:
+        xs = grid.slice(s)
+        if math.isinf(alpha):
+            w = np.ones(len(xs))
+        else:
+            w = np.array([grid.inner.weight(x) for x in xs])
+        fibers[s] = NormSpec(alpha, w)
+    return FiberFamily(grid.outer.restrict(used), fibers)
+
+
+def grid_section(g: Mapping[tuple[str, str], float], grid: MixedDomain) -> Section:
+    """Reshape grid values into the section matching mixed_as_direct_integral,
+    each slice in the same canonical inner order as its fiber weights."""
+    _require_defined(g, grid)
+    return Section({s: [g[(s, x)] for x in grid.slice(s)] for s in grid.outer.ids if grid.slice(s)})
 
 
 class SplitMapping:
@@ -135,9 +201,7 @@ def compose_apply(
     Well-definedness is automatic on atomic grids (every nonempty set
     has positive measure, so the Luzin N^-1 condition is vacuous).
     """
-    for cell in phi.codomain.cells:
-        if cell not in f:
-            raise UnknownAtomError(f"function not defined on cell {cell!r}")
+    _require_defined(f, phi.codomain)
     return {(s, x): float(f[phi(s, x)]) for (s, x) in phi.domain.cells}
 
 
@@ -184,16 +248,8 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> float:
     alpha = float(alpha)
     J_psi, J_u = slice_volume_derivatives(phi)
     mu = phi.codomain.outer
-    eta_y = phi.codomain.inner
-    vals = np.zeros(len(mu.ids))
-    for i, t in enumerate(mu.ids):
-        ys = phi.codomain.slice(t)
-        if not ys:
-            continue
-        inner_vals = np.array([J_u[(t, y)] ** (1.0 / alpha) for y in ys])
-        wts = np.array([eta_y.weight(y) for y in ys])
-        rho = lp_measure_norm(inner_vals, wts, k_in)
-        vals[i] = rho * J_psi[t] ** (1.0 / q)
+    rho = _slice_norms({c: J_u[c] ** (1.0 / alpha) for c in phi.codomain.cells}, phi.codomain, k_in)
+    vals = rho * np.array([J_psi[t] ** (1.0 / q) for t in mu.ids])
     return lp_measure_norm(vals, mu.weights, k_out)
 
 
@@ -208,7 +264,7 @@ def mixed_product_density_norm(phi: SplitMapping, p, q, alpha, beta) -> float:
         (t, y): J_psi[t] ** (1.0 / float(q)) * J_u[(t, y)] ** (1.0 / float(alpha))
         for (t, y) in phi.codomain.cells
     }
-    return mixed_norm(g, phi.codomain.outer, phi.codomain.inner, k_out, k_in)
+    return mixed_norm(g, phi.codomain, k_out, k_in)
 
 
 def direct_integral_instance(
@@ -223,25 +279,16 @@ def direct_integral_instance(
     contribute nothing on either side).  Works for non-injective psi
     too, which is how the two-sided-bounds regime is cross-checked.
     """
-    dom_fam = mixed_as_direct_integral(
-        phi.domain.cells, phi.domain.outer, phi.domain.inner, alpha
-    )
-    codom_fam = mixed_as_direct_integral(
-        phi.codomain.cells, phi.codomain.outer, phi.codomain.inner, beta
-    )
+    dom_fam = mixed_as_direct_integral(phi.domain, alpha)
+    codom_fam = mixed_as_direct_integral(phi.codomain, beta)
     S_used = dom_fam.base
-    psi_table = {}
+    psi_table, matrices = {}, {}
     for s in S_used.ids:
         t = phi.psi(s)
         if t not in codom_fam.base:
             # u_s is total on a nonempty slice into the slice over t
             raise SliceRangeError(f"slice over {t!r} is empty but receives {s!r}")
         psi_table[s] = t
-    psi_used = AtomMap(S_used, codom_fam.base, psi_table)
-    relation = graph_relation(psi_used, S_used)
-    matrices = {}
-    for s in S_used.ids:
-        t = psi_table[s]
         xs = phi.domain.slice(s)
         ys = phi.codomain.slice(t)
         col = {y: j for j, y in enumerate(ys)}
@@ -250,4 +297,6 @@ def direct_integral_instance(
         for i, x in enumerate(xs):
             A[i, col[u_s[x]]] = 1.0
         matrices[(s, t)] = A
+    psi_used = AtomMap(S_used, codom_fam.base, psi_table)
+    relation = graph_relation(psi_used, S_used)
     return OperatorKernel(relation, codom_fam, dom_fam, matrices), psi_used

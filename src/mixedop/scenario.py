@@ -134,6 +134,8 @@ class Scenario:
             return registry[name]
         if len(registry) == 1:
             return next(iter(registry.values()))
+        if not registry:
+            raise ScenarioError(f"the scenario defines no {what}")
         raise ScenarioError(
             f"check needs an explicit {what} reference ({len(registry)} defined)"
         )
@@ -344,7 +346,7 @@ def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
         return SplitMapping(domain, codomain, psi, u)
 
 
-def _load_checks(data: dict) -> list[Check]:
+def _load_checks(data: dict, mixed: SplitMapping | None) -> list[Check]:
     out = []
     for i, cfg in enumerate(_expect(data.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
@@ -352,6 +354,9 @@ def _load_checks(data: dict) -> list[Check]:
         kind = cfg.get("kind")
         if kind not in CHECK_KINDS:
             raise ScenarioError(f"{where}: unknown kind {kind!r} (one of {CHECK_KINDS})")
+        if kind == "mixedcomp" and mixed is None:
+            raise ScenarioError(f"{where}: a mixedcomp check needs a mixed_composition block")
+        size, shape = (4, "[p, q, alpha, beta]") if kind == "mixedcomp" else (2, "[p, q]")
         refs = {
             key: _expect(cfg[key], str, where, key)
             for key in ("kernel", "mapping", "density")
@@ -360,8 +365,8 @@ def _load_checks(data: dict) -> list[Check]:
         exponents = []
         for j, entry in enumerate(_expect(cfg.get("exponents", []), list, f"{where}.exponents")):
             entry = _expect(entry, list, f"{where}.exponents[{j}]")
-            if len(entry) not in (2, 4):
-                raise ScenarioError(f"{where}.exponents[{j}]: expected [p, q] or [p, q, alpha, beta]")
+            if len(entry) != size:
+                raise ScenarioError(f"{where}.exponents[{j}]: a {kind} check takes {shape}")
             exponents.append(tuple(parse_number(x, f"{where}.exponents[{j}]") for x in entry))
         out.append(
             Check(
@@ -400,7 +405,7 @@ def load_scenario(path) -> Scenario:
     mappings = _load_mappings(data, spaces)
     densities = _load_densities(data, spaces)
     mixed = _load_mixed(data, spaces)
-    checks = _load_checks(data)
+    checks = _load_checks(data, mixed)
     return Scenario(
         id=sid,
         spaces=spaces,

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import mixedop
-from mixedop import ScenarioError, load_scenario
+from mixedop import MixedOpError, ScenarioError, load_scenario
 from mixedop.cli import COLUMNS, STATUS_VIOLATION, _finish, _row, main, run
+from mixedop.generators import scalar17_instance
+from mixedop.kernels import ORACLE_MAX_ENTRIES
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -374,6 +376,87 @@ class TestCheckFields:
         assert huge["value"] != equal["value"]
         # kappa = 2 and mu_t = 1: the l2 aggregate of |P| = (1, 2)
         assert float(huge["value"]) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
+class TestCheckShapes:
+    """Each check kind takes one exponent tuple length, checked at load."""
+
+    @pytest.mark.parametrize("name, checks, message", [
+        ("scalar17", [{"kind": "criterion", "exponents": [[4, 2, 3, 2]]}],
+         "checks[0].exponents[0]: a criterion check takes [p, q]"),
+        ("scalar17", [{"kind": "sandwich", "exponents": [[4, 2], [4, 2, 1, 2]]}],
+         "checks[0].exponents[1]: a sandwich check takes [p, q]"),
+        ("mixed_composition", [{"kind": "mixedcomp", "exponents": [[2, 1, 1, 2]]},
+                               {"kind": "mixedcomp", "exponents": [[2, 1]]}],
+         "checks[1].exponents[0]: a mixedcomp check takes [p, q, alpha, beta]"),
+        ("scalar17", [{"kind": "criterion", "exponents": [[4, 2]]},
+                      {"kind": "mixedcomp", "exponents": [[2, 1, 1, 2]]}],
+         "checks[1]: a mixedcomp check needs a mixed_composition block"),
+    ])
+    def test_wrong_shape_is_a_load_error(self, tmp_path, capsys, name, checks, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, name, ("checks",), checks), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--p-grid", "2", "--q-grid", "1"], ["phi-audit"]])
+    def test_no_kernel_defined(self, capsys, argv):
+        assert main([argv[0], str(SCENARIOS / "mixed_composition.json"), *argv[1:]]) == 1
+        assert capsys.readouterr().err == "mixedop: input error: the scenario defines no kernel\n"
+
+    def test_no_mapping_defined(self, tmp_path, capsys):
+        path = _edited(tmp_path, "scalar17", ("checks",), [{"kind": "change_of_vars", "exponents": [[2, 2]]}])
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == "mixedop: input error: the scenario defines no mapping\n"
+
+
+class TestOracleBound:
+    """The sampling oracle refuses |T| x samples above ORACLE_MAX_ENTRIES
+    before it allocates anything."""
+
+    @pytest.mark.parametrize("samples", [10**12, 10**400], ids=["1e12", "1e400"])
+    def test_check_field(self, tmp_path, capsys, samples):
+        out = tmp_path / "out.csv"
+        path = _edited(tmp_path, "scalar17", ("checks", 0, "samples"), samples)
+        assert main(["run", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixedop: error: the sampling oracle needs |T| x samples = 2 x ")
+        assert "above its bound of 100000000 (800 MB)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [["run"], ["sweep", "--p-grid", "4", "--q-grid", "2"]])
+    @pytest.mark.parametrize("samples", [10**12, 10**400], ids=["1e12", "1e400"])
+    def test_samples_flag(self, capsys, verb, samples):
+        argv = [verb[0], str(SCENARIOS / "scalar17.json"), *verb[1:], "--samples", str(samples)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("mixedop: error: the sampling oracle needs")
+
+    def test_bound_counts_target_atoms(self):
+        kernel = scalar17_instance()  # two target atoms
+        with pytest.raises(MixedOpError, match="sampling oracle"):
+            kernel.oracle_samples(2.0, 0, ORACLE_MAX_ENTRIES // 2 + 1)
+        assert kernel.oracle_samples(2.0, 0, 1000).shape == (2, 1000)
+
+
+class TestSamplesFlag:
+    """--samples and MIXEDOP_SAMPLES belong to run and sweep: phi-audit
+    runs no oracle."""
+
+    def test_phi_audit_refuses_samples(self, capsys):
+        assert _exit_code(["phi-audit", str(SCENARIOS / "scalar17.json"), "--samples", "7"]) == 1
+        assert "unrecognized arguments: --samples 7" in capsys.readouterr().err
+
+    def test_phi_audit_ignores_samples_env(self, tmp_path, monkeypatch):
+        out, plain = tmp_path / "env.csv", tmp_path / "plain.csv"
+        assert main(["phi-audit", str(SCENARIOS / "scalar17.json"), "--out", str(plain)]) == 0
+        monkeypatch.setenv("MIXEDOP_SAMPLES", "abc")
+        assert main(["phi-audit", str(SCENARIOS / "scalar17.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_sweep_reads_samples_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("MIXEDOP_SAMPLES", "abc")
+        assert main(["sweep", str(SCENARIOS / "scalar17.json"), "--p-grid", "4", "--q-grid", "2"]) == 1
+        assert capsys.readouterr().err.startswith("mixedop: input error: MIXEDOP_SAMPLES")
 
 
 def _edited(tmp_path, name, path, value):

@@ -13,6 +13,7 @@ from mixedop import (
     FiberFamily,
     FiniteMeasureSpace,
     InvalidExponentError,
+    MixedDomain,
     NormSpec,
     Section,
     direct_integral_norm,
@@ -153,7 +154,7 @@ class TestMixedNorm:
     def test_constant_on_grid(self):
         nu, eta, cells = _full_grid(2, 3)
         g = {c: 1.0 for c in cells}
-        assert mixed_norm(g, nu, eta, 2, 1) == pytest.approx(math.sqrt(18.0), rel=1e-15)
+        assert mixed_norm(g, MixedDomain(nu, eta, cells), 2, 1) == pytest.approx(math.sqrt(18.0), rel=1e-15)
 
     def test_alpha_equals_q_collapses_to_product_norm(self):
         gen = substream(11, 2)
@@ -165,7 +166,7 @@ class TestMixedNorm:
             q = float(gen.uniform(1.0, 4.0))
             if not cells:
                 continue
-            assert mixed_norm(g, nu, eta, q, q) == pytest.approx(
+            assert mixed_norm(g, MixedDomain(nu, eta, cells), q, q) == pytest.approx(
                 product_lq_norm(g, nu, eta, q), rel=1e-12
             )
 
@@ -173,13 +174,13 @@ class TestMixedNorm:
         nu = FiniteMeasureSpace({"s1": 1.0, "s2": 9.0})
         eta = FiniteMeasureSpace({"x1": 1.0})
         g = {("s1", "x1"): 3.0}
-        assert mixed_norm(g, nu, eta, 2, 2) == 3.0
+        assert mixed_norm(g, MixedDomain(nu, eta, g.keys()), 2, 2) == 3.0
 
 
 class TestMixedAsDirectIntegral:
     def test_fiber_layout(self):
         nu, eta, cells = _full_grid(2, 3)
-        fam = mixed_as_direct_integral(cells, nu, eta, 1)
+        fam = mixed_as_direct_integral(MixedDomain(nu, eta, cells), 1)
         assert set(fam.base.ids) == set(nu.ids)
         for s in fam.base.ids:
             assert fam.dim(s) == 3
@@ -188,8 +189,9 @@ class TestMixedAsDirectIntegral:
     def test_constant_grid_equality(self):
         nu, eta, cells = _full_grid(2, 3)
         g = {c: 1.0 for c in cells}
-        fam = mixed_as_direct_integral(cells, nu, eta, 1)
-        f = grid_section(g, cells)
+        grid = MixedDomain(nu, eta, cells)
+        fam = mixed_as_direct_integral(grid, 1)
+        f = grid_section(g, grid)
         assert direct_integral_norm(f, fam, 2) == pytest.approx(math.sqrt(18.0), rel=1e-15)
 
     def test_two_route_equality_random(self):
@@ -206,10 +208,11 @@ class TestMixedAsDirectIntegral:
             g = {c: float(gen.standard_normal()) for c in cells}
             q = pool[int(gen.integers(len(pool)))]
             alpha = pool[int(gen.integers(len(pool)))]
-            fam = mixed_as_direct_integral(cells, nu, eta, alpha)
-            f = grid_section(g, cells)
+            grid = MixedDomain(nu, eta, cells)
+            fam = mixed_as_direct_integral(grid, alpha)
+            f = grid_section(g, grid)
             via_family = direct_integral_norm(f, fam, q)
-            direct = mixed_norm(g, nu, eta, q, alpha)
+            direct = mixed_norm(g, grid, q, alpha)
             assert via_family == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
     def test_sup_inner_uses_unit_weights(self):
@@ -217,8 +220,9 @@ class TestMixedAsDirectIntegral:
         eta = FiniteMeasureSpace({"x1": 5.0, "x2": 0.125})
         cells = [("s1", "x1"), ("s1", "x2")]
         g = {("s1", "x1"): 1.0, ("s1", "x2"): 2.0}
-        fam = mixed_as_direct_integral(cells, nu, eta, INF)
-        f = grid_section(g, cells)
+        grid = MixedDomain(nu, eta, cells)
+        fam = mixed_as_direct_integral(grid, INF)
+        f = grid_section(g, grid)
         # ess-sup over the slice is 2 regardless of the eta weights
-        assert mixed_norm(g, nu, eta, 2, INF) == 2.0
+        assert mixed_norm(g, grid, 2, INF) == 2.0
         assert direct_integral_norm(f, fam, 2) == 2.0

@@ -20,6 +20,8 @@ from mixedop import (
     criterion_uniform_bounds,
     direct_integral_instance,
     exact_norm_decoupled,
+    grid_section,
+    mixed_as_direct_integral,
     mixed_norm,
     mixed_product_density_norm,
     slice_volume_derivatives,
@@ -47,6 +49,51 @@ def _identity_mapping(n_outer=2, n_inner=2):
     psi = {s: s for s in S.ids}
     u = {s: {x: x for x in X.ids} for s in S.ids}
     return SplitMapping(dom, cod, psi, u)
+
+
+class TestMixedDomain:
+    """MixedDomain is the one validator of a grid and the one owner of its
+    slice order; the mixed-norm functions only read its slices."""
+
+    S = FiniteMeasureSpace({"s1": 1.0, "s2": 2.0, "s3": 0.5})
+    X = FiniteMeasureSpace({"x1": 1.0, "x2": 0.25, "x3": 4.0})
+
+    @pytest.mark.parametrize("cell, message", [
+        (("s9", "x1"), "unknown outer atom 's9'"),
+        (("s1", "x9"), "unknown inner atom 'x9'"),
+    ])
+    def test_unknown_atom_rejected(self, cell, message):
+        with pytest.raises(UnknownAtomError, match=message):
+            MixedDomain(self.S, self.X, [("s1", "x1"), cell])
+
+    def test_duplicate_cell_rejected(self):
+        with pytest.raises(ValueError, match="duplicate cells"):
+            MixedDomain(self.S, self.X, [("s1", "x2"), ("s2", "x1"), ("s1", "x2")])
+
+    def test_slices_in_canonical_inner_order(self):
+        grid = MixedDomain(self.S, self.X, [("s2", "x3"), ("s1", "x3"), ("s2", "x1"), ("s1", "x2"), ("s2", "x2")])
+        assert grid.slice("s1") == ("x2", "x3")
+        assert grid.slice("s2") == ("x1", "x2", "x3")
+        assert grid.cells == tuple(sorted(grid.cells))
+
+    def test_outer_atom_without_cells_has_empty_slice(self):
+        grid = MixedDomain(self.S, self.X, [("s1", "x1"), ("s3", "x2")])
+        assert grid.slice("s2") == ()
+        fam = mixed_as_direct_integral(grid, 2)
+        assert fam.base.ids == ("s1", "s3")
+        g = {("s1", "x1"): 3.0, ("s3", "x2"): 4.0}
+        assert grid_section(g, grid).keys() == ["s1", "s3"]
+        # the empty slice adds nothing: (1 * 3^2 + 0.5 * (0.25 * 4^2))^(1/2)
+        assert mixed_norm(g, grid, 2, 2) == pytest.approx(math.sqrt(11.0), rel=1e-15)
+
+    @pytest.mark.parametrize("fn", [
+        lambda g, grid: mixed_norm(g, grid, 2, 1),
+        lambda g, grid: grid_section(g, grid),
+    ], ids=["mixed_norm", "grid_section"])
+    def test_function_missing_a_cell_rejected(self, fn):
+        grid = MixedDomain(self.S, self.X, [("s1", "x1"), ("s2", "x3")])
+        with pytest.raises(UnknownAtomError, match=r"\('s2', 'x3'\)"):
+            fn({("s1", "x1"): 1.0}, grid)
 
 
 class TestSplitMapping:
@@ -201,10 +248,8 @@ class TestCriterion:
                 crit = criterion_mixed_composition(phi, p, q, a, b)
                 for _ in range(20):
                     f = {c: float(g.standard_normal()) for c in phi.codomain.cells}
-                    num = mixed_norm(
-                        compose_apply(f, phi), phi.domain.outer, phi.domain.inner, q, a
-                    )
-                    den = mixed_norm(f, phi.codomain.outer, phi.codomain.inner, p, b)
+                    num = mixed_norm(compose_apply(f, phi), phi.domain, q, a)
+                    den = mixed_norm(f, phi.codomain, p, b)
                     assert num <= crit * den + 1e-9 * max(1.0, crit * den)
 
 

@@ -3,9 +3,10 @@ end in a traceback, and never in an ``ok`` row that carries a NaN.
 
 Each example edits one to three places of a bundled file: a type swap,
 a list/object swap, a non-finite, huge or tiny number, or a removed key
-or list item.  Huge values are floats: a huge integer in ``samples`` or
-``partitions`` is a valid request for that much work, not malformed
-input.
+or list item.  Huge values are floats: a huge integer in ``partitions``
+is a valid request for that much work, not malformed input, and one in
+``samples`` is refused by the sampling oracle's bound (tested in
+``test_cli.py``).
 """
 
 from __future__ import annotations
