@@ -151,7 +151,7 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> float:
             )
     lam_t = np.zeros(len(T.ids))
     for i, t in enumerate(T.ids):
-        lam_t[i] = sum(w for _, w in rel.pairs_for_target(t))
+        lam_t[i] = sum(rel.weights[rel.fiber(t)].tolist())
     J = lam_t / T.weights
     vals = np.array([rho[t] for t in T.ids]) * J ** (1.0 / q)
     return lp_measure_norm(vals, T.weights, k)
@@ -378,7 +378,7 @@ def oracle_norm_sampling(
         return 0.0
     C = kernel.oracle_samples(q, seed, n)
     factors = np.array(
-        [T.weight(t) ** (-1.0 / p) if kernel.relation.pairs_for_target(t) else 0.0 for t in T.ids]
+        [w ** (-1.0 / p) if size else 0.0 for w, size in zip(T.weights.tolist(), kernel.relation.size.tolist())]
     )
     return float(np.max(_profile_ratios(C * factors[:, None], k)))
 
@@ -404,9 +404,8 @@ def section_ratios(
         raw = substream(seed, SECTION_TAG, i).standard_normal((n, W.dim))
         raws[t] = raw
         den += T.weight(t) * W.row_norms(raw) ** p
-    for (s, t) in kernel.pairs:
+    for (s, t), lam in zip(kernel.pairs, kernel.relation.weights.tolist()):
         out = kernel.codomain_family.norm(s)
-        lam = kernel.relation.weight(s, t)
         num += lam * out.row_norms(raws[t] @ kernel.matrix(s, t).T) ** q
     den = np.where(den > 0, den, 1.0)
     return num ** (1.0 / q) / den ** (1.0 / p)

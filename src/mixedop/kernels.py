@@ -58,6 +58,8 @@ SPHERE_POINTS = 100_000
 
 # the sampling oracle keeps |T| x samples float64 values: at most 800 MB
 ORACLE_MAX_ENTRIES = 10**8
+# and reduces each target's directions in pieces of at most this many rows
+ORACLE_CHUNK = 65_536
 
 
 def kappa(p, q) -> float:
@@ -137,12 +139,9 @@ class OperatorKernel:
                 raise MissingPairError(f"matrices missing for pairs {missing[:5]}")
             raise ValueError(f"matrices given for pairs outside the relation: {sorted(given - wanted)[:5]}")
         pairs = relation.pairs
-        # atoms are numbered by position in S.ids and T.ids
-        s_number, out_dim, self._out_r, self._out_scale = _atoms(relation.source, codomain_family)
-        t_number, in_dim, self._in_r, self._in_scale = _atoms(relation.target, domain_family)
-        source = np.array([s_number[s] for s, _ in pairs], dtype=np.intp)
-        target = np.array([t_number[t] for _, t in pairs], dtype=np.intp)
-        out_dims, in_dims = out_dim[source], in_dim[target]
+        out_dim, self._out_r, self._out_scale = _atoms(relation.source, codomain_family)
+        in_dim, self._in_r, self._in_scale = _atoms(relation.target, domain_family)
+        out_dims, in_dims = out_dim[relation.src], in_dim[relation.tgt]
         # one stack per (out dim, in dim) shape, keyed out dim * width + in dim
         width = int(in_dim.max(initial=0)) + 1
         shapes, group = np.unique(out_dims * width + in_dims, return_inverse=True)
@@ -166,19 +165,13 @@ class OperatorKernel:
         self.relation = relation
         self.domain_family = domain_family
         self.codomain_family = codomain_family
-        self._source = source
-        self._target = target
         self._in_dim = in_dim
-        # target u's fiber, in fiber order, is order[start[u]:start[u] + size[u]]
-        self._size = np.bincount(target, minlength=in_dim.size)
-        self._order = np.argsort(target, kind="stable")
-        self._start = np.cumsum(self._size) - self._size
         # whether every V_s of the fiber of t has exponent 2
-        self._l2 = np.bincount(target, weights=self._out_r[source] != 2.0, minlength=in_dim.size) == 0
+        self._l2 = np.bincount(relation.tgt, weights=self._out_r[relation.src] != 2.0, minlength=in_dim.size) == 0
         self._stacks = stacks
+        # pair index -> stack, and position in the stack
         self._stack_of = stack_of
-        # pair -> (pair index, stack, position in the stack)
-        self._place = dict(zip(pairs, zip(range(len(pairs)), stack_of.tolist(), slot_of.tolist())))
+        self._slot_of = slot_of
         self._norm_filled: set[int] = set()
         # the closed-form norms by pair index: NaN until the pair's stack
         # is filled, and where the pair has no finite closed form
@@ -191,16 +184,17 @@ class OperatorKernel:
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return self.relation.pairs
 
-    def _slot(self, s_id: str, t_id: str) -> tuple[int, int, int]:
-        """(pair index, stack, position in the stack) of the pair."""
+    def _index(self, s_id: str, t_id: str) -> int:
         try:
-            return self._place[(s_id, t_id)]
-        except KeyError:
+            return self.relation.index(s_id, t_id)
+        except UnknownAtomError:
             raise MissingPairError(f"pair ({s_id!r}, {t_id!r}) not in relation") from None
 
+    def _matrix(self, i: int) -> np.ndarray:
+        return self._stacks[self._stack_of[i]][0][self._slot_of[i]]
+
     def matrix(self, s_id: str, t_id: str) -> np.ndarray:
-        _, k, j = self._slot(s_id, t_id)
-        return self._stacks[k][0][j]
+        return self._matrix(self._index(s_id, t_id))
 
     def matrix_norm(self, s_id: str, t_id: str) -> NormResult:
         """Induced norm of P(s, t) from W_t to V_s (cached).
@@ -211,12 +205,12 @@ class OperatorKernel:
         key = (s_id, t_id)
         cached = self._norm_cache.get(key)
         if cached is None:
-            i, k, j = self._slot(s_id, t_id)
-            self._fill_norms(k)
+            i = self._index(s_id, t_id)
+            self._fill_norms(int(self._stack_of[i]))
             value = float(self._norm_values[i])
             if math.isnan(value):
                 cached = matrix_operator_norm(
-                    self._stacks[k][0][j],
+                    self._matrix(i),
                     self.domain_family.norm(t_id),
                     self.codomain_family.norm(s_id),
                 )
@@ -231,7 +225,7 @@ class OperatorKernel:
         right, with each pair's in and out exponents (a new array)."""
         stack, idx = self._stacks[k]
         m, d = stack.shape[1:]
-        src, tgt = self._source[idx], self._target[idx]
+        src, tgt = self.relation.src[idx], self.relation.tgt[idx]
         B = (self._out_scale[m][src][:, :, None] * stack) / self._in_scale[d][tgt][:, None, :]
         return B, self._in_r[tgt], self._out_r[src]
 
@@ -264,9 +258,9 @@ class OperatorKernel:
         ``T.ids``), one row each in fiber order, padded with -1 to
         ``width``."""
         slots = np.arange(width)
-        begin = self._start[targets][:, None]
-        inside = slots < self._size[targets][:, None]
-        return np.where(inside, self._order[np.where(inside, begin + slots, 0)], -1)
+        begin = self.relation.start[targets][:, None]
+        inside = slots < self.relation.size[targets][:, None]
+        return np.where(inside, self.relation.order[np.where(inside, begin + slots, 0)], -1)
 
     def _grams(self, P: np.ndarray, d: int) -> np.ndarray:
         """``B^T B`` of the weight-conjugated matrices of the pairs P
@@ -314,13 +308,14 @@ class OperatorKernel:
         stacks, each conjugated once per fill.
         """
         cache = self._eff_cache
-        T = self.relation.target.ids
-        weights = np.append(self.relation.weights, 0.0)  # 0 at the padding
+        rel = self.relation
+        T = rel.target.ids
+        weights = np.append(rel.weights, 0.0)  # 0 at the padding
         conjugated: dict[int, np.ndarray] = {}
         scalar: dict[int, list[int]] = {}
         eigen: dict[int, list[int]] = {}
         batches: dict[tuple[int, float], list] = {}
-        layout = zip(T, self._start.tolist(), self._size.tolist(), self._in_dim.tolist(),
+        layout = zip(T, rel.start.tolist(), rel.size.tolist(), self._in_dim.tolist(),
                      self._in_r.tolist(), self._l2.tolist())
         for u, (t, begin, n, d, r, l2) in enumerate(layout):
             if (t, q) in cache:
@@ -331,7 +326,7 @@ class OperatorKernel:
             if n >= 2 and q == 2.0 and r == 2.0 and l2:
                 eigen.setdefault(d, []).append(u)
                 continue
-            fiber = self._order[begin:begin + n].tolist()
+            fiber = rel.order[begin:begin + n]
             if n == 0:
                 cache[(t, q)] = NormResult(0.0, EXACT)
             elif n == 1:
@@ -339,12 +334,11 @@ class OperatorKernel:
                 cache[(t, q)] = NormResult(float(weights[fiber[0]]) ** (1.0 / q) * norm.value, norm.certificate)
             else:
                 Bs = []
-                for i in fiber:
-                    _, k, j = self._place[self.pairs[i]]
+                for k, j in zip(self._stack_of[fiber].tolist(), self._slot_of[fiber].tolist()):
                     if k not in conjugated:
                         conjugated[k] = self._conjugate(k)[0]
                     Bs.append(conjugated[k][j])
-                bs, lams = self._out_r[self._source[fiber]].tolist(), weights[fiber]
+                bs, lams = self._out_r[rel.src[fiber]].tolist(), weights[fiber]
                 if r == 1.0:
                     best = max(
                         weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
@@ -363,14 +357,24 @@ class OperatorKernel:
                 self.matrix_norm(*self.relation.pairs[P[np.isnan(norms)][0]])
             for u, value in zip(us, _power_sums(norms, q, weights[P]).tolist()):
                 cache[(T[u], q)] = NormResult(value, EXACT)
+        sums = {}
         for d, us in eigen.items():
-            P = self._fiber_matrix(us, int(self._size[us].max()))
+            P = self._fiber_matrix(us, int(rel.size[us].max()))
             grams = weights[P][:, :, None, None] * self._grams(P, d)
             M = np.zeros((len(us), d, d))
             for slot in range(P.shape[1]):
                 M += grams[:, slot]
+            sums[d] = M
+        bad = [u for d, M in sums.items()
+               for u, finite in zip(eigen[d], np.isfinite(M).all(axis=(1, 2)).tolist()) if not finite]
+        if bad:
+            # eigvalsh of a non-finite sum returns a wrong value or does not converge
+            raise NonFiniteResultError(
+                f"c({T[min(bad)]!r}) is not finite: the sum of lam B^T B over its fiber overflows"
+            )
+        for d, M in sums.items():
             tops = np.linalg.eigvalsh((M + np.swapaxes(M, 1, 2)) / 2.0)[:, -1]
-            for u, top in zip(us, tops.tolist()):
+            for u, top in zip(eigen[d], tops.tolist()):
                 cache[(T[u], q)] = NormResult(math.sqrt(max(top, 0.0)), EXACT)
         for (_, a), items in batches.items():
             values = _ascent([problem for _, problem in items], a, q)
@@ -382,7 +386,8 @@ class OperatorKernel:
         row i holds the objective of ``effectiveness_objective`` at the
         ``samples`` seeded unit directions of target i (``T.ids`` order),
         zero for an atom whose fiber is empty.  Read-only; |T| x samples
-        float64 entries, refused above ORACLE_MAX_ENTRIES.
+        float64 entries, refused above ORACLE_MAX_ENTRIES; drawn and reduced
+        in pieces of at most ORACLE_CHUNK rows, with the values of one block.
         """
         key = (q, seed, samples)
         C = self._sample_cache.get(key)
@@ -394,12 +399,18 @@ class OperatorKernel:
                     f" float64 values, above its bound of {ORACLE_MAX_ENTRIES} (800 MB)"
                 )
             C = np.zeros((len(T.ids), samples))
-            for i, t in enumerate(T.ids):
-                if not self.relation.pairs_for_target(t):
+            for i, (t, n) in enumerate(zip(T.ids, self.relation.size.tolist())):
+                if not n:
                     continue
                 W = self.domain_family.norm(t)
-                raw = substream(seed, ORACLE_TAG, i).standard_normal((samples, W.dim))
-                C[i] = effectiveness_objective(self, t, q)(_unit_rows(raw, W))
+                draw = substream(seed, ORACLE_TAG, i).standard_normal
+                objective = effectiveness_objective(self, t, q)
+                # equal pieces: none is a single row (unless samples is 1),
+                # whose matmul rounds differently from a row of a block
+                pieces = -(-samples // ORACLE_CHUNK)
+                for j in range(pieces):
+                    begin, end = samples * j // pieces, samples * (j + 1) // pieces
+                    C[i, begin:end] = objective(_unit_rows(draw((end - begin, W.dim)), W))
             C.flags.writeable = False
             self._sample_cache[key] = C
         return C
@@ -427,17 +438,16 @@ class OperatorKernel:
         return f"OperatorKernel({len(self.pairs)} pairs)"
 
 
-def _atoms(space, family: FiberFamily) -> tuple[dict[str, int], np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Per atom of ``space``: its position in ``space.ids`` by id, and
-    the dim and exponent of its fiber; per dim d, the scale of each fiber
-    of dim d (zero rows elsewhere)."""
+def _atoms(space, family: FiberFamily) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Per atom of ``space``, in ``space.ids`` order: the dim and exponent
+    of its fiber; per dim d, the scale of each fiber of dim d (zero rows
+    elsewhere)."""
     norms = [family.norm(atom) for atom in space.ids]
     dims = [N.dim for N in norms]
     scale = {d: np.zeros((len(norms), d)) for d in set(dims)}
     for u, (N, d) in enumerate(zip(norms, dims)):
         scale[d][u] = N.scale()
-    number = {atom: u for u, atom in enumerate(space.ids)}
-    return number, np.array(dims, dtype=np.intp), np.array([N.r for N in norms]), scale
+    return np.array(dims, dtype=np.intp), np.array([N.r for N in norms]), scale
 
 
 def _read_stack(matrices: Mapping, pairs: list[tuple[str, str]], shape: tuple[int, int]) -> np.ndarray:
@@ -686,6 +696,8 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
     a, b = in_norm.r, out_norm.r
     if not np.any(B):
         return NormResult(0.0, EXACT)
+    if not np.isfinite(B).all():
+        raise NonFiniteResultError("the weight-conjugated matrix is not finite (overflow in the arithmetic)")
     values = _closed_form_norms(B[None], a, b)
     if values is not None:
         return NormResult(float(values[0]), EXACT)
@@ -765,10 +777,10 @@ def effectiveness_objective(
     route optimizes literally the same function.
     """
     q = check_exponent(q)
-    pairs = kernel.relation.pairs_for_target(t_id)
-    mats = [kernel.matrix(s, t_id) for s, _ in pairs]
-    outs = [kernel.codomain_family.norm(s) for s, _ in pairs]
-    lams = [lam for _, lam in pairs]
+    fiber = kernel.relation.fiber(t_id).tolist()
+    mats = [kernel._matrix(i) for i in fiber]
+    outs = [kernel.codomain_family.norm(kernel.pairs[i][0]) for i in fiber]
+    lams = kernel.relation.weights[fiber].tolist()
 
     def objective(E: np.ndarray) -> np.ndarray:
         E = np.atleast_2d(np.asarray(E, dtype=float))
@@ -807,12 +819,12 @@ def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult
     criterion from the operator norm on multi-dimensional fibers.
     """
     q = check_exponent(q)
-    pairs = kernel.relation.pairs_for_target(t_id)
-    if not pairs:
+    fiber = kernel.relation.fiber(t_id)
+    if not fiber.size:
         return NormResult(0.0, EXACT)
-    results = [kernel.matrix_norm(s, t_id) for s, _ in pairs]
+    results = [kernel.matrix_norm(*kernel.pairs[i]) for i in fiber.tolist()]
     vals = np.array([r.value for r in results])
-    lams = np.array([lam for _, lam in pairs])
+    lams = kernel.relation.weights[fiber]
     cert = weakest_certificate(r.certificate for r in results)
     return NormResult(weighted_power_sum(vals, lams, q), cert)
 

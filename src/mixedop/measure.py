@@ -187,7 +187,9 @@ class WeightedRelation:
     """Atoms of F inside S x T, each with a strictly positive weight.
 
     Zero-weight pairs are dropped at construction; negative weights and
-    duplicate pairs are rejected.  Pairs are kept sorted by (s_id, t_id).
+    duplicate pairs are rejected.  Pairs are kept sorted by (s_id, t_id),
+    with ``src`` and ``tgt`` their positions in S.ids and T.ids; the fiber of
+    T.ids[u] is ``order[start[u]:start[u] + size[u]]``, in s order.
     """
 
     def __init__(
@@ -208,18 +210,22 @@ class WeightedRelation:
             if w < 0 or not math.isfinite(w):
                 raise ValueError(f"pair ({s!r}, {t!r}) has invalid weight {w}")
             cleaned.append((str(s), str(t), w))
-        cleaned.sort()
-        keys = [(s, t) for s, t, _ in cleaned]
-        if len(set(keys)) != len(keys):
+        s_ids, t_ids, ws = zip(*cleaned) if cleaned else ((), (), ())
+        src = np.array(list(map(source.index, s_ids)), dtype=np.intp)
+        tgt = np.array(list(map(target.index, t_ids)), dtype=np.intp)
+        sort = np.lexsort((tgt, src))  # ids are sorted: this is (s_id, t_id) order
+        src, tgt = src[sort], tgt[sort]
+        if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
             raise ValueError("duplicate (s, t) pairs")
         self.source = source
         self.target = target
-        self.pairs: tuple[tuple[str, str], ...] = tuple(keys)
-        self.weights: np.ndarray = _readonly(np.array([w for _, _, w in cleaned], dtype=float))
-        self._index = {k: i for i, k in enumerate(self.pairs)}
-        self._fibers: dict[str, list[tuple[str, float]]] = {}
-        for s, t, w in cleaned:
-            self._fibers.setdefault(t, []).append((s, w))
+        self.pairs: tuple[tuple[str, str], ...] = tuple(cleaned[k][:2] for k in sort.tolist())
+        self.weights: np.ndarray = _readonly(np.array(ws, dtype=float)[sort])
+        self.src, self.tgt = _readonly(src), _readonly(tgt)
+        self.size = _readonly(np.bincount(tgt, minlength=len(target)))
+        self.order = _readonly(np.argsort(tgt, kind="stable"))
+        self.start = _readonly(np.cumsum(self.size) - self.size)
+        self._index = dict(zip(self.pairs, range(len(self.pairs))))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -227,21 +233,24 @@ class WeightedRelation:
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._index
 
-    def weight(self, s_id: str, t_id: str) -> float:
+    def index(self, s_id: str, t_id: str) -> int:
+        """The position of the pair (s_id, t_id) in ``pairs``."""
         try:
-            return float(self.weights[self._index[(s_id, t_id)]])
+            return self._index[(s_id, t_id)]
         except KeyError:
             raise UnknownAtomError(f"pair ({s_id!r}, {t_id!r}) not in relation") from None
+
+    def weight(self, s_id: str, t_id: str) -> float:
+        return float(self.weights[self.index(s_id, t_id)])
 
     def items(self) -> Iterator[tuple[str, str, float]]:
         for (s, t), w in zip(self.pairs, self.weights.tolist()):
             yield s, t, w
 
-    def pairs_for_target(self, t_id: str) -> list[tuple[str, float]]:
-        """The fiber F_t: (s_id, weight) pairs in canonical s order."""
-        if t_id not in self.target:
-            raise UnknownAtomError(f"unknown atom {t_id!r}")
-        return list(self._fibers.get(t_id, ()))
+    def fiber(self, t_id: str) -> np.ndarray:
+        """The fiber F_t as positions in ``pairs``, in s order (read-only)."""
+        u = self.target.index(t_id)
+        return self.order[self.start[u]:self.start[u] + self.size[u]]
 
     @property
     def total_mass(self) -> float:
@@ -285,9 +294,9 @@ def marginal_onto_T(lam: WeightedRelation) -> FiniteMeasureSpace:
     """
     sums: dict[str, float] = {}
     for t in lam.target.ids:
-        fiber = lam.pairs_for_target(t)
-        if fiber:
-            sums[t] = float(np.sum([w for _, w in fiber]))
+        fiber = lam.fiber(t)
+        if fiber.size:
+            sums[t] = float(np.sum(lam.weights[fiber]))
     return FiniteMeasureSpace(sums)
 
 

@@ -1,6 +1,7 @@
 """Criteria, decoupled norm, set function, oracles, sandwich reports."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from mixedop import (
     scalar_family,
     section_ratios,
 )
+from mixedop import kernels
 from mixedop.boundedness import phi_audit_violation
 from mixedop.kernels import effectiveness_objective
 from mixedop.generators import (
@@ -481,9 +483,25 @@ def _reference_oracle(kernel, p, q, n, seed):
     must reproduce bit for bit."""
     k = kappa(p, q)
     T = kernel.relation.target
+    C = _reference_samples(kernel, q, n, seed)
     X = np.zeros((len(T.ids), n))
     for i, t in enumerate(T.ids):
-        if not kernel.relation.pairs_for_target(t):
+        if kernel.relation.fiber(t).size:
+            X[i] = C[i] * T.weight(t) ** (-1.0 / p)
+    if math.isinf(k):
+        return float(np.max(X.max(axis=0)))
+    M = X.max(axis=0)
+    safe = np.where(M > 0, M, 1.0)
+    return float(np.max(M * np.sum((X / safe) ** k, axis=0) ** (1.0 / k)))
+
+
+def _reference_samples(kernel, q, n, seed):
+    """The oracle's p-free values, every target's n directions drawn and
+    reduced in one block."""
+    T = kernel.relation.target
+    C = np.zeros((len(T.ids), n))
+    for i, t in enumerate(T.ids):
+        if not kernel.relation.fiber(t).size:
             continue
         W = kernel.domain_family.norm(t)
         raw = substream(seed, ORACLE_TAG, i).standard_normal((n, W.dim))
@@ -495,12 +513,8 @@ def _reference_oracle(kernel, p, q, n, seed):
             raw[dead, 0] = 1.0
             norms = W.row_norms(raw)
         E = raw / norms[:, None]
-        X[i] = effectiveness_objective(kernel, t, q)(E) * T.weight(t) ** (-1.0 / p)
-    if math.isinf(k):
-        return float(np.max(X.max(axis=0)))
-    M = X.max(axis=0)
-    safe = np.where(M > 0, M, 1.0)
-    return float(np.max(M * np.sum((X / safe) ** k, axis=0) ** (1.0 / k)))
+        C[i] = effectiveness_objective(kernel, t, q)(E)
+    return C
 
 
 class TestOracle:
@@ -521,6 +535,29 @@ class TestOracle:
         for other_q, other_seed, other_n in ((1.5 * q, seed, n), (q, seed + 1, n), (q, seed, n + 1)):
             got = oracle_norm_sampling(ker, 3.0 * q, other_q, other_n, other_seed)
             assert got == _reference_oracle(ker, 3.0 * q, other_q, other_n, other_seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        instance=st.integers(0, 10_000),
+        q=st.sampled_from([1.0, 2.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([4, 5, 64]),
+    )
+    def test_chunked_samples_equal_unchunked_reference(self, instance, q, seed, chunk):
+        ker = random_instance(instance, max_atoms=5, max_dim=4, density=0.6)
+        with mock.patch.object(kernels, "ORACLE_CHUNK", chunk):
+            for n in (chunk, chunk + 1, 2 * chunk + 7):
+                assert np.array_equal(ker.oracle_samples(q, seed, n), _reference_samples(ker, q, n, seed))
+
+    def test_chunk_constant_is_crossed_exactly(self):
+        assert kernels.ORACLE_CHUNK >= 65_536
+        # a one-row last piece would differ in the last bit on some of these
+        for instance in range(8):
+            ker = random_instance(instance, max_atoms=4, max_dim=4, density=1.0)
+            n = kernels.ORACLE_CHUNK + 1
+            assert np.array_equal(ker.oracle_samples(2.0, 5, n), _reference_samples(ker, 2.0, n, 5))
+        n = 2 * kernels.ORACLE_CHUNK + 7
+        assert np.array_equal(ker.oracle_samples(3.0, 5, n), _reference_samples(ker, 3.0, n, 5))
 
     def test_identity_is_exact_at_any_sample_count(self):
         ker, _ = identity_instance(4, dim=2)

@@ -281,6 +281,22 @@ class TestRunVerb:
         assert err.startswith("mixedop: error:") and "not finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row", [[[0, -1e300, -1.2093813e-150]], [[1e300, 1, 0]]])
+    def test_overflowing_gram_sum_exits_1(self, tmp_path, capsys, row):
+        # q = 2, all l2: lam B^T B of the weight-conjugated matrices overflows
+        data = json.loads((SCENARIOS / "projection_gap.json").read_text())
+        data["families"]["W"]["fibers"]["t1"] = {"r": 2, "weights": [1.0, 1.0, 1.0]}
+        data["families"]["V"]["fibers"] = {"s1": {"r": 2, "weights": [1e300]}, "s2": {"r": 2, "weights": [1.0]}}
+        data["kernels"]["P"]["matrices"] = [["s1", "t1", row], ["s2", "t1", [[0, 0, 1]]]]
+        data["checks"] = [{"kind": "exact_norm", "exponents": [[2, 2], [4, 2]]}]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mixedop: error: c('t1') is not finite")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value, flags, env", [
         ("--samples", None, ["--samples", "0"], {}),
         ("MIXEDOP_SAMPLES", None, [], {"MIXEDOP_SAMPLES": "0"}),

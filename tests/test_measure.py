@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedop import (
     AtomMap,
@@ -81,7 +83,64 @@ class TestWeightedRelation:
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
         T = FiniteMeasureSpace({"t1": 1.0})
         rel = WeightedRelation(S, T, [("s2", "t1", 2.0), ("s1", "t1", 1.0)])
-        assert rel.pairs_for_target("t1") == [("s1", 1.0), ("s2", 2.0)]
+        fiber = rel.fiber("t1").tolist()
+        assert [rel.pairs[i] for i in fiber] == [("s1", "t1"), ("s2", "t1")]
+        assert rel.weights[fiber].tolist() == [1.0, 2.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_layout_matches_string_tuple_reference(self, data):
+        ids = st.lists(st.text("ab01z", min_size=1, max_size=3), min_size=1, max_size=8, unique=True)
+        S = FiniteMeasureSpace({i: 1.0 for i in data.draw(ids)})
+        T = FiniteMeasureSpace({i: 2.0 for i in data.draw(ids)})
+        weights = st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-300])
+        product = [(s, t) for s in S.ids for t in T.ids]
+        triples = data.draw(st.one_of(
+            st.lists(st.tuples(st.sampled_from(S.ids), st.sampled_from(T.ids), weights), max_size=40),
+            # every pair once: fibers as large as the ids allow
+            st.lists(weights, min_size=len(product), max_size=len(product)).map(
+                lambda ws: [(s, t, w) for (s, t), w in zip(product, ws)]
+            ),
+        ))
+        if triples and data.draw(st.booleans()):
+            # a zero-weight copy of a kept pair is no duplicate: it is dropped first
+            s, t, _ = data.draw(st.sampled_from(triples))
+            triples.append((s, t, 0.0))
+        triples = data.draw(st.permutations(triples))
+        ref = _reference_layout(T, triples)
+        if ref is None:
+            with pytest.raises(ValueError, match="duplicate"):
+                WeightedRelation(S, T, triples)
+            return
+        pairs, weights, fibers = ref
+        rel = WeightedRelation(S, T, triples)
+        assert rel.pairs == pairs
+        assert rel.weights.tolist() == weights
+        assert rel.src.tolist() == [S.ids.index(s) for s, _ in pairs]
+        assert rel.tgt.tolist() == [T.ids.index(t) for _, t in pairs]
+        assert sorted(rel.order.tolist()) == list(range(len(pairs)))
+        for u, t in enumerate(T.ids):
+            fiber = rel.fiber(t).tolist()
+            assert rel.start[u] == sum(len(fibers[x]) for x in T.ids[:u])
+            assert rel.size[u] == len(fibers[t])
+            assert rel.order[rel.start[u]:rel.start[u] + rel.size[u]].tolist() == fiber
+            assert [(rel.pairs[i][0], weights[i]) for i in fiber] == fibers[t]
+            assert all(rel.pairs[i][1] == t for i in fiber)
+        for a in (rel.src, rel.tgt, rel.weights, rel.order, rel.start, rel.size):
+            assert not a.flags.writeable
+        with pytest.raises(UnknownAtomError):
+            rel.fiber("not an atom")
+
+
+def _reference_layout(T, triples):
+    """The relation as sorted (s, t, w) string tuples: its pairs, weights
+    and (s, w) fiber per target, or None for a duplicate pair."""
+    cleaned = sorted((s, t, w) for s, t, w in triples if w != 0.0)
+    pairs = tuple((s, t) for s, t, _ in cleaned)
+    if len(set(pairs)) != len(pairs):
+        return None
+    fibers = {t: [(s, w) for s, x, w in cleaned if x == t] for t in T.ids}
+    return pairs, [w for _, _, w in cleaned], fibers
 
 
 class TestAtomMap:
