@@ -40,7 +40,6 @@ from .kernels import (
     OperatorKernel,
     fiber_effectiveness,
     kappa,
-    pointwise_norm_aggregate,
     weakest_certificate,
 )
 from .measure import AtomMap, DensityFn, pushforward_volume_derivative
@@ -65,6 +64,15 @@ def _finite_pair(p, q) -> tuple[float, float, float]:
     if math.isinf(p) or math.isinf(q):
         raise UnsupportedExponentsError("infinite source/target exponents are not supported")
     return p, q, k
+
+
+def _scaled(values: np.ndarray, kernel: OperatorKernel, e: float) -> np.ndarray:
+    """values[t] * mu_t^e per atom of T, and 0 on an empty fiber without
+    evaluating mu_t^e (which overflows for a tiny mu_t)."""
+    full = kernel.relation.size > 0
+    out = np.zeros(values.size)
+    out[full] = values[full] * kernel.relation.target.weights[full] ** e
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,14 +127,14 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     """Boundedness criterion for a general absolutely continuous relation.
 
     ( sum_t mu_t ( sum_{s in F_t} nu_s ||P(s,t)||^q J(s,t) )^(kappa/q) )^(1/kappa),
-    which on atoms reduces the inner sum to (1/mu_t) sum_s lam_st ||P||^q;
-    for p = q the outer aggregate is the max over atoms.  Exact when
-    every matrix norm is.
+    which on atoms reduces the inner sum to (1/mu_t) sum_s lam_st ||P||^q,
+    0 on an empty fiber whatever mu_t; for p = q the outer aggregate is
+    the max over atoms.  Exact when every matrix norm is.
     """
     p, q, k = _finite_pair(p, q)
     T = kernel.relation.target
-    aggs = [pointwise_norm_aggregate(kernel, t, q) for t in T.ids]
-    inner = np.array([a.value for a in aggs]) * T.weights ** (-1.0 / q)
+    aggs = kernel._norm_sums(range(len(T.ids)), q)
+    inner = _scaled(np.array([a.value for a in aggs]), kernel, -1.0 / q)
     value = lp_measure_norm(inner, T.weights, k)
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
@@ -244,7 +252,7 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     p, q, k = _finite_pair(p, q)
     T = kernel.relation.target
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
-    x = np.array([e.value for e in effs]) * T.weights ** (-1.0 / p)
+    x = _scaled(np.array([e.value for e in effs]), kernel, -1.0 / p)
     value = ell_power_sum(x, k)
     return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
@@ -254,8 +262,10 @@ def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> np.
     that order: the one definition every set-function value and
     derivative is summed from."""
     T = kernel.relation.target
-    terms = np.empty(len(ids))
+    terms = np.zeros(len(ids))
     for i, t in enumerate(ids):
+        if not kernel.relation.fiber(t).size:
+            continue  # 0, whatever mu_t
         try:
             terms[i] = (fiber_effectiveness(kernel, t, q).value * T.weight(t) ** (-1.0 / p)) ** k
         except OverflowError:

@@ -30,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .boundedness import (
     criterion_general_result,
     exact_norm_decoupled,
@@ -380,24 +382,27 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
+    # every non-finite value is refused by an explicit check with its own
+    # message, so numpy's floating-point warnings would only repeat it
     try:
-        seed = _setting(args.seed, "SEED", _integer(0))
-        samples = None if args.verb == "phi-audit" else _setting(args.samples, "SAMPLES", _integer(1))
-        out = _setting(args.out, "OUT", str)
-        if args.verb == "sweep":
-            return sweep(
-                args.scenario,
-                _grid(args.p_grid, "--p-grid"),
-                _grid(args.q_grid, "--q-grid"),
-                out,
-                seed,
-                samples,
-                args.timing,
-            )
-        tolerance = _setting(args.tolerance, "TOLERANCE", _tolerance, DEFAULT_TOLERANCE)
-        if args.verb == "run":
-            return run(args.scenario, out, seed, samples, tolerance, args.timing)
-        return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            seed = _setting(args.seed, "SEED", _integer(0))
+            samples = None if args.verb == "phi-audit" else _setting(args.samples, "SAMPLES", _integer(1))
+            out = _setting(args.out, "OUT", str)
+            if args.verb == "sweep":
+                return sweep(
+                    args.scenario,
+                    _grid(args.p_grid, "--p-grid"),
+                    _grid(args.q_grid, "--q-grid"),
+                    out,
+                    seed,
+                    samples,
+                    args.timing,
+                )
+            tolerance = _setting(args.tolerance, "TOLERANCE", _tolerance, DEFAULT_TOLERANCE)
+            if args.verb == "run":
+                return run(args.scenario, out, seed, samples, tolerance, args.timing)
+            return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
     except (ScenarioError, UnsupportedExponentsError) as e:
         print(f"mixedop: input error: {e}", file=sys.stderr)
         return 1

@@ -33,10 +33,8 @@ from .fibers import (
     NormSpec,
     Section,
     check_exponent,
-    ell_power_sum,
     fiber_norm,
     lp_measure_norm,
-    weighted_power_sum,
 )
 from .measure import AtomMap, WeightedRelation
 from .rng import ORACLE_TAG, START_TAG, substream
@@ -253,29 +251,62 @@ class OperatorKernel:
                 values = np.zeros(int(keep.sum()))
             self._norm_values[idx[js[keep]]] = np.where(np.isfinite(values), values, np.nan)
 
-    def _fiber_matrix(self, targets: list[int], width: int) -> np.ndarray:
+    def _fiber_matrix(self, targets) -> np.ndarray:
         """The pair indices of the fibers of ``targets`` (positions in
-        ``T.ids``), one row each in fiber order, padded with -1 to
-        ``width``."""
-        slots = np.arange(width)
+        ``T.ids``), one row each in fiber order, padded with -1 to the
+        largest of their sizes."""
+        slots = np.arange(self.relation.size[targets].max(initial=0))
         begin = self.relation.start[targets][:, None]
         inside = slots < self.relation.size[targets][:, None]
         return np.where(inside, self.relation.order[np.where(inside, begin + slots, 0)], -1)
 
-    def _grams(self, P: np.ndarray, d: int) -> np.ndarray:
-        """``B^T B`` of the weight-conjugated matrices of the pairs P
-        (pair indices, -1 for padding), all of in dim d, once per stack,
-        laid out as P; zero at the padding."""
+    def _per_pair(self, P: np.ndarray, f, shape: tuple[int, ...]) -> np.ndarray:
+        """``f(B, b)`` of the weight-conjugated matrices B of the pairs P
+        (pair indices, -1 for padding), per stack and out exponent b, one
+        row per pair index: zero for the pairs not in P and in a last row."""
         n = self._stack_of.size
         wanted = np.zeros(n, dtype=bool)
         wanted[P[P >= 0]] = True
-        out = np.zeros((n + 1, d, d))  # one row per pair, and a zero row last for the padding
+        out = np.zeros((n + 1,) + shape)
         for k in np.unique(self._stack_of[wanted]).tolist():
             idx = self._stacks[k][1]
-            js = np.flatnonzero(wanted[idx])
-            B = self._conjugate(k)[0][js]
-            out[idx[js]] = np.swapaxes(B, 1, 2) @ B
-        return out[P]
+            B, _, b = self._conjugate(k)
+            for bk in dict.fromkeys(b[wanted[idx]].tolist()):
+                js = np.flatnonzero(wanted[idx] & (b == bk))
+                out[idx[js]] = f(B[js], bk)
+        return out
+
+    def _fiber_sums(self, targets: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
+        """(sum_{s in F_t} lam_st x_s^q)^(1/q) for each of ``targets``,
+        x_s being the row of ``values`` at the index of (s, t): a value or
+        a row summed entrywise; 0 on an empty fiber.  One ``_power_sums``
+        row reduction per fiber size, never padded (``np.sum`` adds
+        pairwise from 8 entries on): ``weighted_power_sum`` bit for bit."""
+        sizes = self.relation.size[targets]
+        out = np.zeros((sizes.size,) + values.shape[1:])
+        for n in np.unique(sizes[sizes > 0]).tolist():
+            rows = np.flatnonzero(sizes == n)
+            P = self._fiber_matrix(targets[rows])
+            lams = self.relation.weights[P].reshape((rows.size,) + (1,) * (values.ndim - 1) + (n,))
+            out[rows] = _power_sums(np.moveaxis(values[P], 1, -1), q, lams)
+        return out
+
+    def _norm_sums(self, targets, q: float) -> list[NormResult]:
+        """The fiber sums of the matrix norms of ``targets``, exact when
+        every norm is.  The closed forms come from the stack fills, the
+        others from ``matrix_norm`` in target order, then fiber order."""
+        targets = np.asarray(targets, dtype=np.intp)
+        F = self._fiber_matrix(targets)
+        pairs = F[F >= 0]
+        for k in np.unique(self._stack_of[pairs]).tolist():
+            self._fill_norms(k)
+        norms = self._norm_values.copy()
+        lower = np.zeros(norms.size + 1, dtype=bool)  # False in the last entry, which the padding reads
+        for i in pairs[np.isnan(norms[pairs])].tolist():
+            result = self.matrix_norm(*self.pairs[i])
+            norms[i], lower[i] = result.value, result.certificate != EXACT
+        values = self._fiber_sums(targets, norms, q).tolist()
+        return [NormResult(v, LOWER_BOUND if weak else EXACT) for v, weak in zip(values, lower[F].any(axis=1).tolist())]
 
     def effectiveness(self, t_id: str, q: float) -> NormResult:
         """c(t) at a validated finite q (cached); a miss solves every
@@ -292,27 +323,26 @@ class OperatorKernel:
     def _fill_effectiveness(self, q: float) -> None:
         """Cache c(t) at q for every target of the kernel not cached yet.
 
-        One loop picks each target's case.  Empty and singleton fibers
-        and a W_t with exponent 1 are solved on the spot; the other
-        closed forms are solved in stacked passes, each value
-        bit-identical to the same formula on one target:
+        One loop picks each target's case; the closed forms run stacked,
+        each value bit-identical to the same formula on one target:
 
-        - scalar W_t: the weighted q-power sum of the fiber's matrix
-          norms, one row reduction per fiber size (no padding, since
-          ``np.sum`` adds pairwise from 8 entries on);
+        - an empty or singleton fiber, or a scalar W_t: the fiber sum of
+          the matrix norms (``_norm_sums``);
+        - W_t with exponent 1: the largest over the columns of W_t of the
+          fiber sums of the b-norms of that column of each matrix;
         - q = 2 with all-l2 fibers: the largest eigenvalue of the sum of
           ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim.
 
         The ascent problems are batched by the dimension and exponent of
-        W_t.  They and the exponent-1 targets read the weight-conjugated
-        stacks, each conjugated once per fill.
+        W_t, from the weight-conjugated stacks, each conjugated once.
         """
         cache = self._eff_cache
         rel = self.relation
         T = rel.target.ids
         weights = np.append(rel.weights, 0.0)  # 0 at the padding
-        conjugated: dict[int, np.ndarray] = {}
-        scalar: dict[int, list[int]] = {}
+        conjugated = functools.cache(lambda k: self._conjugate(k)[0])
+        summed: list[int] = []
+        columns: dict[int, list[int]] = {}
         eigen: dict[int, list[int]] = {}
         batches: dict[tuple[int, float], list] = {}
         layout = zip(T, rel.start.tolist(), rel.size.tolist(), self._in_dim.tolist(),
@@ -320,47 +350,26 @@ class OperatorKernel:
         for u, (t, begin, n, d, r, l2) in enumerate(layout):
             if (t, q) in cache:
                 continue
-            if n >= 2 and d == 1:
-                scalar.setdefault(n, []).append(u)
-                continue
-            if n >= 2 and q == 2.0 and r == 2.0 and l2:
+            if n <= 1 or d == 1:
+                summed.append(u)
+            elif q == 2.0 and r == 2.0 and l2:
                 eigen.setdefault(d, []).append(u)
-                continue
-            fiber = rel.order[begin:begin + n]
-            if n == 0:
-                cache[(t, q)] = NormResult(0.0, EXACT)
-            elif n == 1:
-                norm = self.matrix_norm(*self.pairs[fiber[0]])
-                cache[(t, q)] = NormResult(float(weights[fiber[0]]) ** (1.0 / q) * norm.value, norm.certificate)
+            elif r == 1.0:
+                columns.setdefault(d, []).append(u)
             else:
-                Bs = []
-                for k, j in zip(self._stack_of[fiber].tolist(), self._slot_of[fiber].tolist()):
-                    if k not in conjugated:
-                        conjugated[k] = self._conjugate(k)[0]
-                    Bs.append(conjugated[k][j])
-                bs, lams = self._out_r[rel.src[fiber]].tolist(), weights[fiber]
-                if r == 1.0:
-                    best = max(
-                        weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
-                        for j in range(d)
-                    )
-                    cache[(t, q)] = NormResult(best, EXACT)
-                else:
-                    batches.setdefault((d, r), []).append((t, (Bs, bs, lams)))
-        for n, us in scalar.items():
-            P = self._fiber_matrix(us, n)
-            for k in np.unique(self._stack_of[P]).tolist():
-                self._fill_norms(k)
-            norms = self._norm_values[P]
-            if np.isnan(norms).any():
-                # no finite norm: the pair's own miss reports it
-                self.matrix_norm(*self.relation.pairs[P[np.isnan(norms)][0]])
-            for u, value in zip(us, _power_sums(norms, q, weights[P]).tolist()):
+                fiber = rel.order[begin:begin + n]
+                Bs = [conjugated(k)[j] for k, j in zip(self._stack_of[fiber].tolist(), self._slot_of[fiber].tolist())]
+                batches.setdefault((d, r), []).append((t, (Bs, self._out_r[rel.src[fiber]].tolist(), weights[fiber])))
+        for u, result in zip(summed, self._norm_sums(summed, q)):
+            cache[(T[u], q)] = result
+        for d, us in columns.items():
+            norms = self._per_pair(self._fiber_matrix(us), lambda B, b: _power_sums(np.swapaxes(B, 1, 2), b), (d,))
+            for u, value in zip(us, self._fiber_sums(np.array(us), norms, q).max(axis=1).tolist()):
                 cache[(T[u], q)] = NormResult(value, EXACT)
         sums = {}
         for d, us in eigen.items():
-            P = self._fiber_matrix(us, int(rel.size[us].max()))
-            grams = weights[P][:, :, None, None] * self._grams(P, d)
+            P = self._fiber_matrix(us)
+            grams = weights[P][:, :, None, None] * self._per_pair(P, lambda B, b: np.swapaxes(B, 1, 2) @ B, (d, d))[P]
             M = np.zeros((len(us), d, d))
             for slot in range(P.shape[1]):
                 M += grams[:, slot]
@@ -802,9 +811,7 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     (largest eigenvalue of the weight-conjugated quadratic form).
 
     On a cache miss every uncached target of the kernel is solved at
-    this q in one pass: the closed forms stacked, the ascent problems
-    batched by the dimension and exponent of W_t
-    (``OperatorKernel._fill_effectiveness``).
+    this q in one pass (``OperatorKernel._fill_effectiveness``).
     """
     q = check_exponent(q)
     if math.isinf(q):
@@ -813,20 +820,15 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:
-    """(sum_{s in F_t} lam_st ||P(s,t)||^q)^(1/q): sup moved inside the sum.
+    """(sum_{s in F_t} lam_st ||P(s,t)||^q)^(1/q), q finite: sup moved inside the sum.
 
     Always >= fiber_effectiveness; the gap is what separates the
     criterion from the operator norm on multi-dimensional fibers.
     """
     q = check_exponent(q)
-    fiber = kernel.relation.fiber(t_id)
-    if not fiber.size:
-        return NormResult(0.0, EXACT)
-    results = [kernel.matrix_norm(*kernel.pairs[i]) for i in fiber.tolist()]
-    vals = np.array([r.value for r in results])
-    lams = kernel.relation.weights[fiber]
-    cert = weakest_certificate(r.certificate for r in results)
-    return NormResult(weighted_power_sum(vals, lams, q), cert)
+    if math.isinf(q):
+        raise UnsupportedExponentsError("the pointwise aggregate needs finite q")
+    return kernel._norm_sums([kernel.relation.target.index(t_id)], q)[0]
 
 
 # ---------------------------------------------------------------------------

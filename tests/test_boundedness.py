@@ -218,6 +218,31 @@ class TestExactNormDecoupled:
                 assert res.value == pytest.approx(scalar_ratio_brute(ker, p, q), rel=1e-8)
 
 
+def _tiny_empty_atom_instance():
+    """T = {t1: 1e-320, t2: 1}; only t2 has a pair, (s1, t2, 1), with
+    identity scalar l2 fibers: the norm is 1 for every p >= q."""
+    S = FiniteMeasureSpace({"s1": 1.0})
+    T = FiniteMeasureSpace({"t1": 1e-320, "t2": 1.0})
+    rel = WeightedRelation(S, T, [("s1", "t2", 1.0)])
+    return OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t2"): [[1.0]]})
+
+
+class TestEmptyFiberTerm:
+    # mu_t1^(-1/r) overflows; the empty fiber of t1 must still add exactly 0
+    def test_criterion_and_exact_norm(self):
+        ker = _tiny_empty_atom_instance()
+        for p, q in [(1, 1), (2, 1), (2, 2)]:
+            assert exact_norm_decoupled(ker, p, q) == criterion_general_result(ker, p, q)
+            assert exact_norm_decoupled(ker, p, q).value == 1.0
+            assert oracle_norm_sampling(ker, p, q, 10) == 1.0
+
+    def test_set_function(self):
+        ker = _tiny_empty_atom_instance()
+        assert phi_value(ker, ["t1"], 1.01, 1).value == 0.0
+        assert phi_value(ker, ["t1", "t2"], 1.01, 1).value == 1.0
+        assert phi_audit_violation(ker, 1.01, 1, 5, 0) == 0.0
+
+
 class TestPhi:
     def test_scalar_17_values(self):
         ker = scalar17_instance()

@@ -297,6 +297,57 @@ class TestRunVerb:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_overflowing_gram_sum_writes_one_stderr_line(self, tmp_path):
+        # numpy's RuntimeWarnings would reach stderr before the error line;
+        # in-process runs cannot see them, so this runs the console verb
+        data = json.loads((SCENARIOS / "projection_gap.json").read_text())
+        data["families"]["W"]["fibers"]["t1"] = {"r": 2, "weights": [1.0, 1.0, 1.0]}
+        data["families"]["V"]["fibers"] = {"s1": {"r": 2, "weights": [1e300]}, "s2": {"r": 2, "weights": [1.0]}}
+        data["kernels"]["P"]["matrices"] = [["s1", "t1", [[0, -1e300, -1.2093813e-150]]], ["s2", "t1", [[0, 0, 1]]]]
+        data["checks"] = [{"kind": "exact_norm", "exponents": [[2, 2]]}]
+        env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mixedop.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", _write(tmp_path, data)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "mixedop: error: c('t1') is not finite: the sum of lam B^T B over its fiber overflows\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exponent_one_column_overflow_exits_1(self, tmp_path, capsys):
+        # W_t1 has exponent 1; column 2 of the weight-conjugated P(s1, t1)
+        # overflows, so c(t1) (about 1e450) is beyond the float range
+        data = json.loads((SCENARIOS / "projection_gap.json").read_text())
+        data["families"]["W"]["fibers"]["t1"] = {"r": 1, "weights": [1.0, 1.0]}
+        data["families"]["V"]["fibers"] = {"s1": {"r": 2, "weights": [1e300]}, "s2": {"r": 2, "weights": [1.0]}}
+        data["kernels"]["P"]["matrices"] = [["s1", "t1", [[1, 1e300]]], ["s2", "t1", [[1, 0]]]]
+        data["checks"] = [{"kind": "exact_norm", "exponents": [[2, 2], [3, 2]]}]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mixedop: error:") and "not finite" in captured.err
+        assert not out.exists()
+
+    def test_empty_fiber_of_a_tiny_atom_adds_zero(self, tmp_path, capsys):
+        # mu_t1^(-1/q) overflows, but t1 has no pair: every value is the norm, 1
+        data = _minimal_scenario()
+        data["spaces"]["T"] = {"t1": 1e-320, "t2": 1.0}
+        data["relations"]["lam"]["pairs"] = [["s1", "t2", 1.0]]
+        data["kernels"]["P"]["matrices"] = [["s1", "t2", [[1.0]]]]
+        data["checks"] = [
+            {"kind": "criterion", "exponents": [[1, 1]]},
+            {"kind": "exact_norm", "exponents": [[1, 1]]},
+            {"kind": "phi_audit", "exponents": [[1.01, 1]]},
+        ]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[COLUMNS.index("value")] for row in rows] == ["1", "1", "0"]
+
     @pytest.mark.parametrize("field, value, flags, env", [
         ("--samples", None, ["--samples", "0"], {}),
         ("MIXEDOP_SAMPLES", None, [], {"MIXEDOP_SAMPLES": "0"}),

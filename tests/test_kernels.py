@@ -35,6 +35,7 @@ from mixedop import (
     pointwise_norm_aggregate,
     scalar_family,
 )
+from mixedop.boundedness import criterion_general_result
 from mixedop.generators import (
     identity_instance,
     projection_gap_instance,
@@ -44,7 +45,7 @@ from mixedop.generators import (
     random_kernel,
     random_measure_space,
 )
-from mixedop.fibers import ell_power_sum, weighted_power_sum
+from mixedop.fibers import ell_power_sum, lp_measure_norm, weighted_power_sum
 from mixedop.kernels import (
     ASCENT_ITERATIONS,
     ASCENT_STARTS,
@@ -56,6 +57,7 @@ from mixedop.kernels import (
     _dual,
     _dual_power,
     _normalize_columns,
+    weakest_certificate,
 )
 from mixedop.rng import substream
 
@@ -491,6 +493,23 @@ class TestFiberEffectiveness:
         with pytest.raises(UnsupportedExponentsError):
             fiber_effectiveness(ker, "t1", INF)
 
+    def test_pointwise_aggregate_rejects_infinite_q(self):
+        # max_s lam ||P|| is not its q -> inf limit, max_s ||P||
+        with pytest.raises(UnsupportedExponentsError):
+            pointwise_norm_aggregate(_scalar_pair_instance(), "t1", INF)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exponent_one_column_overflow_is_an_error(self):
+        # column 2 of the weight-conjugated P(s1, t1) overflows; c(t1) is about 1e450
+        S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
+        T = FiniteMeasureSpace({"t1": 1.0})
+        rel = WeightedRelation(S, T, [("s1", "t1", 1.0), ("s2", "t1", 1.0)])
+        W = FiberFamily(T, {"t1": NormSpec(1, [1.0, 1.0])})
+        V = FiberFamily(S, {"s1": NormSpec(2, [1e300]), "s2": NormSpec(2, [1.0])})
+        ker = OperatorKernel(rel, W, V, {("s1", "t1"): [[1.0, 1e300]], ("s2", "t1"): [[1.0, 0.0]]})
+        with pytest.raises(NonFiniteResultError):
+            fiber_effectiveness(ker, "t1", 2.0)
+
 
 def _reference_ascent(Bs, bs, lams, a, q):
     """The fixed point for one problem as a plain per-matrix loop: the
@@ -718,15 +737,71 @@ class TestGramOverflow:
             fiber_effectiveness(ker, "t1", 2.0)
 
 
+def _reference_aggregate(kernel, t, q):
+    """The pointwise aggregate of t one target at a time: the weighted
+    q-power sum of the ``matrix_operator_norm`` values in fiber order,
+    with the weakest certificate."""
+    fiber = kernel.relation.fiber(t).tolist()
+    W = kernel.domain_family.norm(t)
+    norms = [
+        matrix_operator_norm(kernel._matrix(i), W, kernel.codomain_family.norm(kernel.pairs[i][0]))
+        for i in fiber
+    ]
+    value = weighted_power_sum(np.array([r.value for r in norms]), kernel.relation.weights[fiber], q)
+    return NormResult(value, weakest_certificate(r.certificate for r in norms))
+
+
+def _overflow_order_kernel():
+    """Scalar W_t; t2 and t3 each hold a pair whose norm is not finite:
+    in t2 first P(big, t2), whose weight-conjugated matrix overflows, then
+    P(wide, t2), whose closed-form norm overflows; in t3 P(wide, t3).
+    t1 and t3 have three pairs, t2 has two."""
+    S = FiniteMeasureSpace({"a": 1.0, "b": 1.0, "big": 1.0, "wide": 1.0})
+    T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0, "t3": 1.0})
+    fibers = {"t1": ["a", "b", "big"], "t2": ["big", "wide"], "t3": ["a", "b", "wide"]}
+    rel = WeightedRelation(S, T, [(s, t, 1.0) for t, ss in fibers.items() for s in ss])
+    V = FiberFamily(S, {"a": NormSpec(2, [1.0]), "b": NormSpec(2, [1.0]),
+                        "big": NormSpec(1, [1e300]), "wide": NormSpec(1, [1.0, 1.0])})
+    mats = {(s, t): [[1.0]] for s, t in rel.pairs}
+    mats[("big", "t1")] = [[1e-300]]
+    mats[("big", "t2")] = [[1e10]]
+    mats[("wide", "t2")] = mats[("wide", "t3")] = [[1e308], [1e308]]
+    return OperatorKernel(rel, scalar_family(T), V, mats)
+
+
 class TestStackedEffectiveness:
     @settings(max_examples=80, deadline=None)
     @given(kernel=_closed_form_kernels(fibers=True))
     def test_fill_equals_reference(self, kernel):
+        T = kernel.relation.target
         for q in (1.0, 2.0, 3.0):
-            for t in kernel.relation.target.ids:
+            aggregates = []
+            for t in T.ids:
                 ref = _reference_effectiveness(kernel, t, q)
                 if ref is not None:
                     assert fiber_effectiveness(kernel, t, q) == ref
+                aggregates.append(_reference_aggregate(kernel, t, q))
+                assert pointwise_norm_aggregate(kernel, t, q) == aggregates[-1]
+            inner = np.array([r.value for r in aggregates]) * T.weights ** (-1.0 / q)
+            criterion = NormResult(
+                lp_measure_norm(inner, T.weights, kappa(4.0, q)),
+                weakest_certificate(r.certificate for r in aggregates),
+            )
+            assert criterion_general_result(kernel, 4.0, q) == criterion
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_pair_in_target_then_fiber_order_is_named(self):
+        # each route raises the error of P(big, t2): the first failing pair in
+        # T.ids order and then fiber order, though t3 shares t1's fiber size
+        first = "the weight-conjugated matrix is not finite"
+        for call in (
+            lambda ker: fiber_effectiveness(ker, "t3", 2.0),
+            lambda ker: criterion_general_result(ker, 2.0, 2.0),
+        ):
+            with pytest.raises(NonFiniteResultError, match=first):
+                call(_overflow_order_kernel())
+        with pytest.raises(NonFiniteResultError, match="norm value inf is not finite"):
+            pointwise_norm_aggregate(_overflow_order_kernel(), "t3", 2.0)
 
 
 class TestGridOracleSanity:
