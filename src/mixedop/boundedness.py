@@ -67,11 +67,12 @@ def _finite_pair(p, q) -> tuple[float, float, float]:
 
 
 def _scaled(values: np.ndarray, kernel: OperatorKernel, e: float) -> np.ndarray:
-    """values[t] * mu_t^e per atom of T, and 0 on an empty fiber without
-    evaluating mu_t^e (which overflows for a tiny mu_t)."""
-    full = kernel.relation.size > 0
+    """values[t] * mu_t^e per atom of T, and 0 where the value is 0 (as on
+    an empty fiber) without evaluating mu_t^e, which overflows for a tiny
+    mu_t and would make 0 * inf = NaN."""
+    nonzero = values != 0.0
     out = np.zeros(values.size)
-    out[full] = values[full] * kernel.relation.target.weights[full] ** e
+    out[nonzero] = values[nonzero] * kernel.relation.target.weights[nonzero] ** e
     return out
 
 
@@ -264,10 +265,10 @@ def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> np.
     T = kernel.relation.target
     terms = np.zeros(len(ids))
     for i, t in enumerate(ids):
-        if not kernel.relation.fiber(t).size:
+        if not kernel.relation.fiber(t).size or (c := fiber_effectiveness(kernel, t, q).value) == 0.0:
             continue  # 0, whatever mu_t
         try:
-            terms[i] = (fiber_effectiveness(kernel, t, q).value * T.weight(t) ** (-1.0 / p)) ** k
+            terms[i] = (c * T.weight(t) ** (-1.0 / p)) ** k
         except OverflowError:
             raise NonFiniteResultError(
                 f"set function term of atom {t!r} is not finite (overflow in the arithmetic)"
@@ -387,9 +388,12 @@ def oracle_norm_sampling(
     if not len(T.ids):
         return 0.0
     C = kernel.oracle_samples(q, seed, n)
-    factors = np.array(
-        [w ** (-1.0 / p) if size else 0.0 for w, size in zip(T.weights.tolist(), kernel.relation.size.tolist())]
-    )
+    factors = np.zeros(len(T.ids))  # mu_t^(-1/p) per row of C; 0 on an all-zero row, whatever mu_t
+    for i, (t, w, row) in enumerate(zip(T.ids, T.weights.tolist(), C.any(axis=1).tolist())):
+        try:
+            factors[i] = w ** (-1.0 / p) if row else 0.0
+        except OverflowError:
+            raise NonFiniteResultError(f"oracle factor of atom {t!r} is not finite (overflow in the arithmetic)") from None
     return float(np.max(_profile_ratios(C * factors[:, None], k)))
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import is_
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -129,32 +131,42 @@ class OperatorKernel:
             raise UnknownAtomError("domain family must live over the relation's target space")
         if codomain_family.base != relation.source:
             raise UnknownAtomError("codomain family must live over the relation's source space")
-        given = set(matrices)
-        wanted = set(relation.pairs)
-        if given != wanted:
-            missing = sorted(wanted - given)
+        pairs = relation.pairs
+        absent = object()
+        given = list(map(matrices.get, pairs, repeat(absent)))  # in pair order
+        # keys are distinct: as many as the pairs, all found, is the same set
+        if len(matrices) != len(pairs) or any(map(is_, given, repeat(absent))):
+            keys, wanted = set(matrices), set(pairs)
+            missing = sorted(wanted - keys)
             if missing:
                 raise MissingPairError(f"matrices missing for pairs {missing[:5]}")
-            raise ValueError(f"matrices given for pairs outside the relation: {sorted(given - wanted)[:5]}")
-        pairs = relation.pairs
-        out_dim, self._out_r, self._out_scale = _atoms(relation.source, codomain_family)
-        in_dim, self._in_r, self._in_scale = _atoms(relation.target, domain_family)
+            raise ValueError(f"matrices given for pairs outside the relation: {sorted(keys - wanted)[:5]}")
+        out_dim, self._out_r, self._out_scale = _atoms(codomain_family)
+        in_dim, self._in_r, self._in_scale = _atoms(domain_family)
         out_dims, in_dims = out_dim[relation.src], in_dim[relation.tgt]
         # one stack per (out dim, in dim) shape, keyed out dim * width + in dim
         width = int(in_dim.max(initial=0)) + 1
         shapes, group = np.unique(out_dims * width + in_dims, return_inverse=True)
-        stacks = []
         try:
-            for k, key in enumerate(shapes.tolist()):
-                idx = np.flatnonzero(group == k)
-                stack = _read_stack(matrices, [pairs[i] for i in idx.tolist()], divmod(key, width))
-                stack.flags.writeable = False
-                stacks.append((stack, idx))
-        except ValueError:
-            # the first pair in pair order that fails a check names the error
-            for pair, shape in zip(pairs, zip(out_dims.tolist(), in_dims.tolist())):
-                _one_matrix(matrices[pair], pair, shape)
-            raise
+            # matrices as rows of numbers: all entries converted in one call, in pair order
+            rows = list(chain.from_iterable(given))
+            flat = np.array(list(chain.from_iterable(rows)), dtype=float)
+            if not (flat.ndim == 1 and np.array_equal(np.fromiter(map(len, given), np.intp, len(given)), out_dims)
+                    and np.array_equal(np.fromiter(map(len, rows), np.intp, len(rows)), np.repeat(in_dims, out_dims))
+                    and np.isfinite(flat).all()):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            # another layout, or a bad matrix: read in pair order, the first bad pair naming the error
+            shaped = zip(given, pairs, zip(out_dims.tolist(), in_dims.tolist()))
+            flat = np.concatenate([_one_matrix(m, pair, shape).ravel() for m, pair, shape in shaped])
+        start = np.cumsum(out_dims * in_dims) - out_dims * in_dims
+        stacks = []
+        for k, key in enumerate(shapes.tolist()):
+            idx = np.flatnonzero(group == k)
+            m, d = divmod(key, width)
+            stack = flat[start[idx][:, None] + np.arange(m * d)].reshape(-1, m, d)
+            stack.flags.writeable = False
+            stacks.append((stack, idx))
         stack_of = np.empty(len(pairs), dtype=np.intp)
         slot_of = np.empty(len(pairs), dtype=np.intp)
         for k, (_, idx) in enumerate(stacks):
@@ -447,30 +459,19 @@ class OperatorKernel:
         return f"OperatorKernel({len(self.pairs)} pairs)"
 
 
-def _atoms(space, family: FiberFamily) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Per atom of ``space``, in ``space.ids`` order: the dim and exponent
+def _atoms(family: FiberFamily) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Per atom of the family's base, in ``ids`` order: the dim and exponent
     of its fiber; per dim d, the scale of each fiber of dim d (zero rows
-    elsewhere)."""
-    norms = [family.norm(atom) for atom in space.ids]
-    dims = [N.dim for N in norms]
-    scale = {d: np.zeros((len(norms), d)) for d in set(dims)}
-    for u, (N, d) in enumerate(zip(norms, dims)):
-        scale[d][u] = N.scale()
-    return np.array(dims, dtype=np.intp), np.array([N.r for N in norms]), scale
-
-
-def _read_stack(matrices: Mapping, pairs: list[tuple[str, str]], shape: tuple[int, int]) -> np.ndarray:
-    """The matrices of ``pairs``, one shape group, as one stack, converted
-    in one call; a group that does not convert whole to its shape, or is
-    not finite, is read matrix by matrix (``_one_matrix``)."""
-    group = [matrices[pair] for pair in pairs]
-    try:
-        stack = np.array(group, dtype=float)
-        if stack.shape[1:] == shape and np.isfinite(stack).all():
-            return stack
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return np.stack([_one_matrix(m, pair, shape) for m, pair in zip(group, pairs)])
+    elsewhere), as ``NormSpec.scale`` computes it, once per (dim, exponent)."""
+    norms = [N for _, N in family.items()]
+    dims = np.array([N.weights.size for N in norms], dtype=np.intp)
+    rs = np.array([N.r for N in norms])
+    scale = {d: np.zeros((len(norms), d)) for d in set(dims.tolist())}
+    for d, r in set(zip(dims.tolist(), rs.tolist())):
+        us = np.flatnonzero((dims == d) & (rs == r))
+        w = np.array([norms[u].weights for u in us.tolist()])
+        scale[d][us] = w if math.isinf(r) else w ** (1.0 / r)
+    return dims, rs, scale
 
 
 def _one_matrix(m, pair: tuple[str, str], shape: tuple[int, int]) -> np.ndarray:

@@ -9,6 +9,7 @@ functions.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -198,29 +199,30 @@ class WeightedRelation:
         target: FiniteMeasureSpace,
         pairs: Iterable[tuple[str, str, float]],
     ):
-        cleaned = []
-        for s, t, w in pairs:
-            w = float(w)
-            if s not in source:
-                raise UnknownAtomError(f"pair names unknown source atom {s!r}")
-            if t not in target:
-                raise UnknownAtomError(f"pair names unknown target atom {t!r}")
-            if w == 0.0:
-                continue
-            if w < 0 or not math.isfinite(w):
-                raise ValueError(f"pair ({s!r}, {t!r}) has invalid weight {w}")
-            cleaned.append((str(s), str(t), w))
-        s_ids, t_ids, ws = zip(*cleaned) if cleaned else ((), (), ())
-        src = np.array(list(map(source.index, s_ids)), dtype=np.intp)
-        tgt = np.array(list(map(target.index, t_ids)), dtype=np.intp)
+        s_ids, t_ids, ws = list(zip(*pairs)) or ((), (), ())
+        src = np.fromiter(map(source._index.get, s_ids, repeat(-1)), np.intp, len(ws))
+        tgt = np.fromiter(map(target._index.get, t_ids, repeat(-1)), np.intp, len(ws))
+        w = np.fromiter(map(float, ws), float, len(ws))
+        keep = w != 0.0
+        bad = (src < 0) | (tgt < 0) | (keep & ~((w > 0.0) & (w < math.inf)))  # NaN fails too
+        if bad.any():
+            # the first bad pair in input order, its checks in the order of one pair
+            j = int(np.argmax(bad))
+            if src[j] < 0:
+                raise UnknownAtomError(f"pair names unknown source atom {s_ids[j]!r}")
+            if tgt[j] < 0:
+                raise UnknownAtomError(f"pair names unknown target atom {t_ids[j]!r}")
+            raise ValueError(f"pair ({s_ids[j]!r}, {t_ids[j]!r}) has invalid weight {float(w[j])}")
+        src, tgt = src[keep], tgt[keep]
         sort = np.lexsort((tgt, src))  # ids are sorted: this is (s_id, t_id) order
         src, tgt = src[sort], tgt[sort]
         if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
             raise ValueError("duplicate (s, t) pairs")
         self.source = source
         self.target = target
-        self.pairs: tuple[tuple[str, str], ...] = tuple(cleaned[k][:2] for k in sort.tolist())
-        self.weights: np.ndarray = _readonly(np.array(ws, dtype=float)[sort])
+        names = np.array(source.ids + target.ids, dtype=object)
+        self.pairs: tuple[tuple[str, str], ...] = tuple(zip(names[src].tolist(), names[len(source) + tgt].tolist()))
+        self.weights: np.ndarray = _readonly(w[keep][sort])
         self.src, self.tgt = _readonly(src), _readonly(tgt)
         self.size = _readonly(np.bincount(tgt, minlength=len(target)))
         self.order = _readonly(np.argsort(tgt, kind="stable"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -56,8 +56,7 @@ def _expect(value: Any, kind: type, where: str, *index):
     """``value`` if it is a JSON object, list or string (a name: an atom
     id or a reference), as ``kind`` says.  The path is ``where`` extended
     by the list indices and object keys of ``index``, joined only on
-    failure.  The loops over pairs and matrices test the kinds inline
-    and call this only to report a failure."""
+    failure.  The whole-section passes call it only to name a failure."""
     if not isinstance(value, kind):
         path = where + "".join(f"[{i}]" if isinstance(i, int) else f".{i}" for i in index)
         got = f", got {value!r}" if kind is str else ""
@@ -162,23 +161,42 @@ def _load_spaces(data: dict) -> dict[str, FiniteMeasureSpace]:
     return out
 
 
+def _finite_numbers(values: list) -> bool:
+    """Whether ``parse_number`` takes every entry of ``values`` as the
+    float that ``np.array`` makes of it: ints and floats, none NaN or huge."""
+    try:
+        return set(map(type, values)) <= {int, float} and not np.isnan(np.array(values, dtype=float)).any()
+    except OverflowError:
+        return False
+
+
+def _entries(cfg: dict, key: str, where: str, form: str, third: type) -> list:
+    """The [s, t, x] entries of ``cfg[key]``, x a number (``third`` float) or a list, their JSON
+    types tested in one pass over the whole list.  When a test fails, one walk names the first
+    bad entry in input order with the per-entry messages, and returns the entries read."""
+    path = f"{where}.{key}"
+    entries = _expect(cfg.get(key, []), list, path)
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        s, t, x = list(zip(*entries)) or ((), (), ())
+        if set(map(type, s + t)) <= {str} and (_finite_numbers(x) if third is float else set(map(type, x)) <= {list}):
+            return entries
+    out = []
+    for j, entry in enumerate(entries):
+        entry = _expect(entry, list, f"{path} entry")
+        if len(entry) != 3:
+            raise ScenarioError(f"{where}: {form}")
+        s, t, x = _expect(entry[0], str, path, j, 0), _expect(entry[1], str, path, j, 1), entry[2]
+        out.append((s, t, parse_number(x, path) if third is float else _expect(x, list, path, j, 2)))
+    return out
+
+
 def _load_relations(data: dict, spaces: dict) -> dict[str, WeightedRelation]:
     out = {}
     for name, cfg, where in _blocks(data, "relations"):
         with _at(where):
             source = _ref(cfg, "source", spaces, "space", where)
             target = _ref(cfg, "target", spaces, "space", where)
-            path = f"{where}.pairs"
-            entry_where = f"{path} entry"
-            pairs = []
-            for j, entry in enumerate(_expect(cfg.get("pairs", []), list, path)):
-                entry = _expect(entry, list, entry_where)
-                if len(entry) != 3:
-                    raise ScenarioError(f"{where}: pair entries are [s, t, weight]")
-                s, t, w = entry
-                if not (isinstance(s, str) and isinstance(t, str)):
-                    _expect(s, str, path, j, 0), _expect(t, str, path, j, 1)
-                pairs.append((s, t, parse_number(w, path)))
+            pairs = _entries(cfg, "pairs", where, "pair entries are [s, t, weight]", float)
             out[name] = WeightedRelation(source, target, pairs)
     return out
 
@@ -188,16 +206,24 @@ def _load_families(data: dict, spaces: dict) -> dict[str, FiberFamily]:
     for name, cfg, where in _blocks(data, "families"):
         with _at(where):
             base = _ref(cfg, "base", spaces, "base space", where)
-            fibers = {}
-            for atom, spec in _expect(cfg.get("fibers", {}), dict, where, "fibers").items():
+            specs = _expect(cfg.get("fibers", {}), dict, where, "fibers")
+
+            def read(atom, spec):
                 at = f"{where}.fibers.{atom}"
                 spec = _expect(spec, dict, at)
                 r = parse_number(spec.get("r", 2), f"{at}.r")
-                weights = [
-                    parse_number(w, f"{at}.weights")
-                    for w in _expect(spec.get("weights", [1.0]), list, at, "weights")
-                ]
-                with _at(at):
+                return r, [parse_number(x, f"{at}.weights") for x in _expect(spec.get("weights", [1.0]), list, at, "weights")]
+
+            # every r and weight list in one type pass; if it fails, the fibers are
+            # read in turn, lazily, so that an earlier fiber's NormSpec error comes first
+            fast = set(map(type, specs.values())) <= {dict}
+            if fast:
+                rs = list(map(dict.get, specs.values(), repeat("r"), repeat(2)))
+                ws = list(map(dict.get, specs.values(), repeat("weights"), repeat([1.0])))
+                fast = _finite_numbers(rs) and set(map(type, ws)) <= {list} and _finite_numbers(list(chain(*ws)))
+            fibers = {}
+            for atom, (r, weights) in zip(specs, zip(rs, ws) if fast else map(read, specs, specs.values())):
+                with _at(f"{where}.fibers.{atom}"):
                     fibers[atom] = NormSpec(r, weights)
             out[name] = FiberFamily(base, fibers)
     return out
@@ -208,16 +234,8 @@ def _kernel_matrices(
 ) -> dict:
     if "matrices" in cfg:
         path = f"{where}.matrices"
-        entry_where = f"{path} entry"
-        mats = {}
-        for j, entry in enumerate(_expect(cfg["matrices"], list, path)):
-            entry = _expect(entry, list, entry_where)
-            if len(entry) != 3:
-                raise ScenarioError(f"{where}: matrix entries are [s, t, rows]")
-            s, t, rows = entry
-            if not (isinstance(s, str) and isinstance(t, str) and isinstance(rows, list)):
-                _expect(s, str, path, j, 0), _expect(t, str, path, j, 1), _expect(rows, list, path, j, 2)
-            mats[(s, t)] = rows  # converted once per shape, by OperatorKernel
+        entries = _entries(cfg, "matrices", where, "matrix entries are [s, t, rows]", list)
+        mats = {(s, t): rows for s, t, rows in entries}  # converted once per shape, by OperatorKernel
         # numpy reads "3" as 3.0 and true as 1.0: the entries of matrices
         # given as lists of rows are checked in one pass, and any other
         # layout is walked entry by entry

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mixedop import (
     EXACT,
     INF,
+    NonFiniteResultError,
     AtomMap,
     DensityFn,
     FiberFamily,
@@ -227,6 +228,16 @@ def _tiny_empty_atom_instance():
     return OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t2"): [[1.0]]})
 
 
+def _tiny_zero_atom_instance(entry: float = 0.0):
+    """T = {t1: 1e-320, t2: 1}; pairs (s1, t1, 1) with [[entry]] and
+    (s2, t2, 1) with [[1]], scalar l2 fibers: with entry 0 the fiber of
+    t1 is nonempty but adds 0, and the norm is 1 for every p >= q."""
+    S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
+    T = FiniteMeasureSpace({"t1": 1e-320, "t2": 1.0})
+    rel = WeightedRelation(S, T, [("s1", "t1", 1.0), ("s2", "t2", 1.0)])
+    return OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[entry]], ("s2", "t2"): [[1.0]]})
+
+
 class TestEmptyFiberTerm:
     # mu_t1^(-1/r) overflows; the empty fiber of t1 must still add exactly 0
     def test_criterion_and_exact_norm(self):
@@ -241,6 +252,25 @@ class TestEmptyFiberTerm:
         assert phi_value(ker, ["t1"], 1.01, 1).value == 0.0
         assert phi_value(ker, ["t1", "t2"], 1.01, 1).value == 1.0
         assert phi_audit_violation(ker, 1.01, 1, 5, 0) == 0.0
+
+
+class TestZeroFiberTerm:
+    # mu_t1^(-1/r) overflows; the nonempty fiber of t1 whose matrix is 0 must add exactly 0
+    def test_criterion_exact_norm_and_oracle(self):
+        ker = _tiny_zero_atom_instance()
+        for p, q in [(1, 1), (2, 1), (2, 2)]:
+            assert exact_norm_decoupled(ker, p, q) == criterion_general_result(ker, p, q)
+            assert exact_norm_decoupled(ker, p, q).value == 1.0
+            assert oracle_norm_sampling(ker, p, q, 10) == 1.0
+
+    def test_set_function(self):
+        ker = _tiny_zero_atom_instance()
+        assert phi_value(ker, ["t1"], 1.01, 1).value == 0.0
+        assert phi_audit_violation(ker, 1.01, 1, 5, 0) == 0.0
+
+    def test_oracle_names_an_overflowing_nonzero_row(self):
+        with pytest.raises(NonFiniteResultError, match="oracle factor of atom 't1' is not finite"):
+            oracle_norm_sampling(_tiny_zero_atom_instance(1.0), 1, 1, 10)
 
 
 class TestPhi:

@@ -601,6 +601,43 @@ class TestHugeIntegers:
         assert not out.exists()
 
 
+_PAIRS = ("relations", "lam", "pairs")
+
+
+class TestLoaderMessages:
+    """One malformed entry of ``scalar17.json`` per row: the loader names
+    the first bad entry with this exact line and exits 1."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (_PAIRS + (0, 0), "s9", "relations.lam: \"pair names unknown source atom 's9'\""),
+        (_PAIRS + (1, 1), "t9", "relations.lam: \"pair names unknown target atom 't9'\""),
+        (_PAIRS + (1, 2), -1.0, "relations.lam: pair ('s1', 't2') has invalid weight -1.0"),
+        (_PAIRS + (0, 2), "inf", "relations.lam: pair ('s1', 't1') has invalid weight inf"),
+        (_PAIRS + (0, 2), 1e400, "relations.lam: pair ('s1', 't1') has invalid weight inf"),
+        (_PAIRS + (1, 2), True, "relations.lam.pairs: expected a number, got True"),
+        (_PAIRS + (1, 2), "x", "relations.lam.pairs: expected a number or 'inf', got 'x'"),
+        (_PAIRS + (0, 2), math.nan, "relations.lam.pairs: expected a number, got nan"),
+        (_PAIRS + (0, 2), 10**400, "relations.lam.pairs: integer too large for a float"),
+        (_PAIRS, [["s1", "t1", 1.0], ["s1", "t2", 1.0], ["s1", "t1", 2.0]],
+         "relations.lam: duplicate (s, t) pairs"),
+        (_PAIRS + (1,), ["s1", "t2"], "relations.lam: pair entries are [s, t, weight]"),
+        (_PAIRS + (1,), "s1 t2 1.0", "relations.lam.pairs entry: expected a list"),
+        (("families", "W", "fibers", "t2", "r"), 0.5,
+         "families.W.fibers.t2: exponent must lie in [1, inf], got 0.5"),
+        (("families", "W", "fibers", "t1", "weights"), [0.0],
+         "families.W.fibers.t1: weights must be strictly positive and finite"),
+        (("kernels", "P", "matrices", 1, 2), [[2.0, 1.0]],
+         "kernels.P: matrix at ('s1', 't2') has shape (1, 2), expected (1, 1)"),
+        (("kernels", "P", "matrices", 0, 2), [[True]],
+         "kernels.P.matrices[0]: matrix at ('s1', 't1') has entry True, not a number"),
+    ])
+    def test_first_bad_entry_is_named(self, tmp_path, capsys, path, value, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, "scalar17", path, value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
 def test_bundled_csv_matches_reference_bytes(scenario, tmp_path):
     out = tmp_path / "out.csv"

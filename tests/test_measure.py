@@ -1,5 +1,7 @@
 """Atomic measure spaces, relations, and the discrete calculus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,19 @@ class TestWeightedRelation:
             # a zero-weight copy of a kept pair is no duplicate: it is dropped first
             s, t, _ = data.draw(st.sampled_from(triples))
             triples.append((s, t, 0.0))
+        if data.draw(st.booleans()):
+            # bad entries: unknown atoms (no id has "?"), weights the relation refuses
+            triples += data.draw(st.lists(st.tuples(
+                st.sampled_from(S.ids + ("?",)), st.sampled_from(T.ids + ("?",)),
+                st.sampled_from([0.0, 1.0, -1.0, -1e-300, math.inf, -math.inf, math.nan]),
+            ), min_size=1, max_size=3))
         triples = data.draw(st.permutations(triples))
+        error = _reference_error(S, T, triples)
+        if error is not None:
+            with pytest.raises(type(error)) as raised:
+                WeightedRelation(S, T, triples)
+            assert type(raised.value) is type(error) and str(raised.value) == str(error)
+            return
         ref = _reference_layout(T, triples)
         if ref is None:
             with pytest.raises(ValueError, match="duplicate"):
@@ -130,6 +144,19 @@ class TestWeightedRelation:
             assert not a.flags.writeable
         with pytest.raises(UnknownAtomError):
             rel.fiber("not an atom")
+
+
+def _reference_error(S, T, triples):
+    """The error of the first bad (s, t, w) entry as a per-pair loop finds
+    it, checking s, then t, then a nonzero w; None if every entry is good."""
+    for s, t, w in triples:
+        if s not in S:
+            return UnknownAtomError(f"pair names unknown source atom {s!r}")
+        if t not in T:
+            return UnknownAtomError(f"pair names unknown target atom {t!r}")
+        if w != 0.0 and not (w > 0 and math.isfinite(w)):
+            return ValueError(f"pair ({s!r}, {t!r}) has invalid weight {w}")
+    return None
 
 
 def _reference_layout(T, triples):
