@@ -32,7 +32,7 @@ from .errors import (
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import check_exponent, ell_power_sum, lp_measure_norm
+from .fibers import check_exponent, lp_measure_norm, power_sums
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
@@ -254,7 +254,7 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     T = kernel.relation.target
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
     x = _scaled(np.array([e.value for e in effs]), kernel, -1.0 / p)
-    value = ell_power_sum(x, k)
+    value = float(power_sums(x, k))
     return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
 

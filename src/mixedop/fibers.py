@@ -27,22 +27,25 @@ def check_exponent(r) -> float:
     return r
 
 
-def weighted_power_sum(values: np.ndarray, weights: np.ndarray, r: float) -> float:
-    """(sum_i w_i |v_i|^r)^(1/r); for r = inf, max_i w_i |v_i|.
+def power_sums(V, r: float, weights=None) -> np.ndarray:
+    """(sum_i w_i |v_i|^r)^(1/r) of every vector along the last axis of
+    V, max_i w_i |v_i| for r = inf, 0 on an empty or all-zero row;
+    ``weights`` (default 1) broadcast against V.
 
-    The finite-r branch factors out the max term so large exponents
-    cannot overflow.
+    The one l^r power sum: the max term is factored out so large
+    exponents cannot overflow, each row is one ``np.sum`` over a
+    C-contiguous array (pairwise from 8 entries on), and the root is a
+    Python float operation (an array power rounds differently).
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if v.size == 0:
-        return 0.0
+    V = np.abs(np.ascontiguousarray(V, dtype=float))
     if math.isinf(r):
-        return float(np.max(w * v))
-    m = float(np.max(v))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum(w * (v / m) ** r)) ** (1.0 / r)
+        return (V if weights is None else weights * V).max(axis=-1, initial=0.0)
+    M = V.max(axis=-1, initial=0.0)
+    X = (V / np.where(M > 0, M, 1.0)[..., None]) ** r
+    S = (X if weights is None else weights * X).sum(axis=-1)
+    e = 1.0 / r
+    roots = [m * s ** e for m, s in zip(M.ravel().tolist(), S.ravel().tolist())]
+    return np.array(roots).reshape(M.shape)
 
 
 def lp_measure_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -51,17 +54,7 @@ def lp_measure_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     For p = inf this is the essential supremum, i.e. max |v| (every atom
     has positive weight, so the weights drop out).
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(v))
-    return weighted_power_sum(v, np.asarray(weights, dtype=float), p)
-
-
-def ell_power_sum(values: np.ndarray, r: float) -> float:
-    """Unweighted (sum |v|^r)^(1/r), max for r = inf; stable for large r."""
-    return weighted_power_sum(values, np.ones(np.size(values)), r)
+    return float(power_sums(values, p, None if math.isinf(p) else np.asarray(weights, dtype=float)))
 
 
 class NormSpec:
@@ -128,7 +121,7 @@ def fiber_norm(v, spec: NormSpec) -> float:
             f"vector of length {v.size if v.ndim == 1 else v.shape} "
             f"against norm of dimension {spec.dim}"
         )
-    return weighted_power_sum(v, spec.weights, spec.r)
+    return float(power_sums(v, spec.r, spec.weights))
 
 
 class Section:

@@ -37,6 +37,7 @@ from .fibers import (
     check_exponent,
     fiber_norm,
     lp_measure_norm,
+    power_sums,
 )
 from .measure import AtomMap, WeightedRelation
 from .rng import ORACLE_TAG, START_TAG, substream
@@ -291,16 +292,16 @@ class OperatorKernel:
     def _fiber_sums(self, targets: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
         """(sum_{s in F_t} lam_st x_s^q)^(1/q) for each of ``targets``,
         x_s being the row of ``values`` at the index of (s, t): a value or
-        a row summed entrywise; 0 on an empty fiber.  One ``_power_sums``
-        row reduction per fiber size, never padded (``np.sum`` adds
-        pairwise from 8 entries on): ``weighted_power_sum`` bit for bit."""
+        a row summed entrywise; 0 on an empty fiber.  One ``power_sums``
+        row reduction per fiber size, never padded, so each row adds
+        exactly as a single fiber's sum would."""
         sizes = self.relation.size[targets]
         out = np.zeros((sizes.size,) + values.shape[1:])
         for n in np.unique(sizes[sizes > 0]).tolist():
             rows = np.flatnonzero(sizes == n)
             P = self._fiber_matrix(targets[rows])
             lams = self.relation.weights[P].reshape((rows.size,) + (1,) * (values.ndim - 1) + (n,))
-            out[rows] = _power_sums(np.moveaxis(values[P], 1, -1), q, lams)
+            out[rows] = power_sums(np.moveaxis(values[P], 1, -1), q, lams)
         return out
 
     def _norm_sums(self, targets, q: float) -> list[NormResult]:
@@ -375,7 +376,7 @@ class OperatorKernel:
         for u, result in zip(summed, self._norm_sums(summed, q)):
             cache[(T[u], q)] = result
         for d, us in columns.items():
-            norms = self._per_pair(self._fiber_matrix(us), lambda B, b: _power_sums(np.swapaxes(B, 1, 2), b), (d,))
+            norms = self._per_pair(self._fiber_matrix(us), lambda B, b: power_sums(np.swapaxes(B, 1, 2), b), (d,))
             for u, value in zip(us, self._fiber_sums(np.array(us), norms, q).max(axis=1).tolist()):
                 cache[(T[u], q)] = NormResult(value, EXACT)
         sums = {}
@@ -714,23 +715,6 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
     return NormResult(float(_ascent([([B], [b], np.ones(1))], a, 1.0)[0]), LOWER_BOUND)
 
 
-def _power_sums(V: np.ndarray, r: float, weights: np.ndarray | None = None) -> np.ndarray:
-    """``ell_power_sum`` of every vector along the last axis, or with
-    ``weights`` (broadcast against V; finite r) ``weighted_power_sum``,
-    bit for bit: the same max factoring and elementwise power, a per-row
-    ``np.sum`` on a C-contiguous array, and the final root as a Python
-    float operation (an array power rounds differently)."""
-    V = np.ascontiguousarray(np.abs(V))
-    M = V.max(axis=-1)
-    if math.isinf(r):
-        return M
-    X = (V / np.where(M > 0, M, 1.0)[..., None]) ** r
-    S = (X if weights is None else weights * X).sum(axis=-1)
-    e = 1.0 / r
-    roots = [m * s ** e for m, s in zip(M.ravel().tolist(), S.ravel().tolist())]
-    return np.array(roots).reshape(M.shape)
-
-
 def _closed_form_norms(B: np.ndarray, a: float, b: float) -> np.ndarray | None:
     """Induced a -> b norms of a stack of unweighted matrices, when their
     shape and exponents have a closed form, else None.
@@ -740,11 +724,11 @@ def _closed_form_norms(B: np.ndarray, a: float, b: float) -> np.ndarray | None:
     value).  Each gives 0 on a zero matrix.
     """
     if B.shape[2] == 1:
-        return _power_sums(B[:, :, 0], b)
+        return power_sums(B[:, :, 0], b)
     if a == 1.0:
-        return _power_sums(np.swapaxes(B, 1, 2), b).max(axis=1)
+        return power_sums(np.swapaxes(B, 1, 2), b).max(axis=1)
     if math.isinf(b):
-        return _power_sums(B, _dual(a)).max(axis=1)
+        return power_sums(B, _dual(a)).max(axis=1)
     if a == 2.0 and b == 2.0:
         return np.linalg.svd(B, compute_uv=False)[:, 0]
     return None

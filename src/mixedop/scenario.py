@@ -236,6 +236,12 @@ def _kernel_matrices(
         path = f"{where}.matrices"
         entries = _entries(cfg, "matrices", where, "matrix entries are [s, t, rows]", list)
         mats = {(s, t): rows for s, t, rows in entries}  # converted once per shape, by OperatorKernel
+        if len(mats) < len(entries):  # a pair given twice: name its later entry
+            seen = set()
+            for j, (s, t, _) in enumerate(entries):
+                if (s, t) in seen:
+                    raise ScenarioError(f"{path}[{j}]: duplicate matrix for pair {(s, t)!r}")
+                seen.add((s, t))
         # numpy reads "3" as 3.0 and true as 1.0: the entries of matrices
         # given as lists of rows are checked in one pass, and any other
         # layout is walked entry by entry

@@ -630,6 +630,8 @@ class TestLoaderMessages:
          "kernels.P: matrix at ('s1', 't2') has shape (1, 2), expected (1, 1)"),
         (("kernels", "P", "matrices", 0, 2), [[True]],
          "kernels.P.matrices[0]: matrix at ('s1', 't1') has entry True, not a number"),
+        (("kernels", "P", "matrices"), [["s1", "t1", [[1.0]]], ["s1", "t2", [[2.0]]], ["s1", "t1", [[5.0]]]],
+         "kernels.P.matrices[2]: duplicate matrix for pair ('s1', 't1')"),
     ])
     def test_first_bad_entry_is_named(self, tmp_path, capsys, path, value, message):
         out = tmp_path / "out.csv"

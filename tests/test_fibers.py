@@ -23,6 +23,7 @@ from mixedop import (
     mixed_norm,
     scalar_family,
 )
+from mixedop.fibers import lp_measure_norm, power_sums
 from mixedop.rng import substream
 
 from helpers import product_lq_norm, weighted_norm_reference
@@ -93,6 +94,50 @@ class TestFiberNorm:
     def test_weight_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="^weights must be strictly positive and finite$"):
             NormSpec(2, [1.0, bad, 2.0])
+
+
+def _reference_power_sum(v, w, r):
+    """The scalar l^r sum that ``power_sums`` replaced, as it stood: the
+    max factored out, one ``np.sum``, the root a Python float power."""
+    v = np.abs(np.asarray(v, dtype=float))
+    w = np.asarray(w, dtype=float)
+    if v.size == 0:
+        return 0.0
+    if math.isinf(r):
+        return float(np.max(w * v))
+    m = float(np.max(v))
+    if m == 0.0:
+        return 0.0
+    return m * float(np.sum(w * (v / m) ** r)) ** (1.0 / r)
+
+
+class TestPowerSums:
+    """``power_sums`` bit for bit against the scalar formula, across the
+    row lengths where ``np.sum`` turns pairwise (8 entries on)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 1000])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 7.3, INF])
+    def test_rows_and_stacks_match_the_scalar_formula(self, n, r):
+        g = substream(14, n)
+        V = g.standard_normal((3, 4, n)) * 10.0 ** g.uniform(-3.0, 3.0, (3, 4, n))
+        V[0, 1] = 0.0
+        W = g.uniform(0.1, 10.0, (3, 4, n))
+        for weights in (None, W[1, 2], W):
+            rows = np.broadcast_to(np.ones(n) if weights is None else weights, V.shape)
+            want = [[_reference_power_sum(V[i, j], rows[i, j], r) for j in range(4)] for i in range(3)]
+            assert power_sums(V, r, weights).tolist() == want
+            for i in range(3):
+                stack = power_sums(V[i], r, None if weights is None else rows[i])
+                assert stack.tolist() == want[i]
+                for j in range(4):
+                    row = power_sums(V[i, j], r, None if weights is None else rows[i, j])
+                    assert row.shape == () and float(row) == want[i][j]
+
+    def test_sup_drops_weights_on_a_measure_not_on_a_fiber(self):
+        v, w = [3.0, -4.0], [10.0, 1.0]
+        assert lp_measure_norm(v, w, INF) == 4.0
+        assert fiber_norm(v, NormSpec(INF, w)) == 30.0
+        assert lp_measure_norm(v, w, 2.0) == fiber_norm(v, NormSpec(2.0, w)) == pytest.approx(math.sqrt(106.0))
 
 
 class TestDirectIntegralNorm:

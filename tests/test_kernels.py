@@ -45,7 +45,7 @@ from mixedop.generators import (
     random_kernel,
     random_measure_space,
 )
-from mixedop.fibers import ell_power_sum, lp_measure_norm, weighted_power_sum
+from mixedop.fibers import lp_measure_norm, power_sums
 from mixedop.kernels import (
     ASCENT_ITERATIONS,
     ASCENT_STARTS,
@@ -576,11 +576,11 @@ def _reference_matrix_norm(A, in_norm, out_norm):
     if not np.any(B):
         return NormResult(0.0, EXACT)
     if B.shape[1] == 1:
-        return NormResult(ell_power_sum(B[:, 0], b), EXACT)
+        return NormResult(float(power_sums(B[:, 0], b)), EXACT)
     if a == 1.0:
-        return NormResult(max(ell_power_sum(B[:, j], b) for j in range(B.shape[1])), EXACT)
+        return NormResult(max(float(power_sums(B[:, j], b)) for j in range(B.shape[1])), EXACT)
     if math.isinf(b):
-        return NormResult(max(ell_power_sum(B[i, :], _dual(a)) for i in range(B.shape[0])), EXACT)
+        return NormResult(max(float(power_sums(B[i, :], _dual(a))) for i in range(B.shape[0])), EXACT)
     if a == 2.0 and b == 2.0:
         return NormResult(float(np.linalg.svd(B, compute_uv=False)[0]), EXACT)
     return None
@@ -681,12 +681,12 @@ def _reference_effectiveness(kernel, t, q):
     lams = np.array([lam for _, lam in pairs])
     if W.dim == 1:
         vals = np.array([matrix_operator_norm(kernel.matrix(s, t), W, o).value for (s, _), o in zip(pairs, outs)])
-        return NormResult(weighted_power_sum(vals, lams, q), EXACT)
+        return NormResult(float(power_sums(vals, q, lams)), EXACT)
     Bs = [(o.scale()[:, None] * kernel.matrix(s, t)) / W.scale()[None, :] for (s, _), o in zip(pairs, outs)]
     bs = [o.r for o in outs]
     if W.r == 1.0:
         best = max(
-            weighted_power_sum(np.array([ell_power_sum(B[:, j], b) for B, b in zip(Bs, bs)]), lams, q)
+            float(power_sums(np.array([float(power_sums(B[:, j], b)) for B, b in zip(Bs, bs)]), q, lams))
             for j in range(W.dim)
         )
         return NormResult(best, EXACT)
@@ -747,7 +747,7 @@ def _reference_aggregate(kernel, t, q):
         matrix_operator_norm(kernel._matrix(i), W, kernel.codomain_family.norm(kernel.pairs[i][0]))
         for i in fiber
     ]
-    value = weighted_power_sum(np.array([r.value for r in norms]), kernel.relation.weights[fiber], q)
+    value = float(power_sums(np.array([r.value for r in norms]), q, kernel.relation.weights[fiber]))
     return NormResult(value, weakest_certificate(r.certificate for r in norms))
 
 
