@@ -111,6 +111,10 @@ class UniformBoundsCriterion:
     lower_mult: float
     upper_mult: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NonFiniteResultError(f"criterion value {self.value} is not finite (overflow in the arithmetic)")
+
     @property
     def lower(self) -> float:
         return self.lower_mult * self.value
@@ -144,26 +148,21 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> float:
     """Criterion when the kernel norm depends on t alone: ||rho J^(1/q)||_{L^kappa(T)}.
 
     The hypothesis ||P(s, t)|| = rho(t) is verified across every fiber
-    F_t within HYPOTHESIS_TOL; J = d(lambda_T)/d(mu) is the marginal density.
+    F_t within HYPOTHESIS_TOL.  Under it the general criterion's inner
+    term is rho(t)^q lam_t / mu_t = rho(t)^q J(t), J the marginal density.
     """
-    p, q, k = _finite_pair(p, q)
-    rel = kernel.relation
-    T = rel.target
+    _finite_pair(p, q)
+    T = kernel.relation.target
     for t in T.ids:
         if t not in rho:
             raise UnknownAtomError(f"rho not defined on atom {t!r}")
-    for (s, t) in rel.pairs:
+    for (s, t) in kernel.relation.pairs:
         got = kernel.matrix_norm(s, t).value
         if not (abs(got - rho[t]) <= HYPOTHESIS_TOL * max(1.0, rho[t])):
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} differs from rho({t!r}) = {rho[t]:.12g}"
             )
-    lam_t = np.zeros(len(T.ids))
-    for i, t in enumerate(T.ids):
-        lam_t[i] = sum(rel.weights[rel.fiber(t)].tolist())
-    J = lam_t / T.weights
-    vals = np.array([rho[t] for t in T.ids]) * J ** (1.0 / q)
-    return lp_measure_norm(vals, T.weights, k)
+    return criterion_general_result(kernel, p, q).value
 
 
 def _require_graph(kernel: OperatorKernel, psi: AtomMap) -> None:
@@ -179,30 +178,17 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
     """Criterion on the graph of an injective mapping.
 
     ||  ||P(psi^-1(t), t)|| J^(1/q)(t)  ||_{L^kappa(T)} with J the
-    marginal density of the graph measure; atoms outside the image
-    contribute zero.  With identity data and p = q this recovers the
-    classical decomposable-operator condition (the ess-sup of the
-    fiber norms).
+    marginal density of the graph measure: each fiber holds at most one
+    pair, so the general criterion's inner term lam ||P||^q / mu_t is
+    ||P||^q J(t), and atoms outside the image contribute zero.  With
+    identity data and p = q this recovers the classical
+    decomposable-operator condition (the ess-sup of the fiber norms).
     """
-    p, q, k = _finite_pair(p, q)
+    _finite_pair(p, q)
     if not psi.is_injective:
         raise NotInjectiveError("graph criterion requires an injective mapping")
     _require_graph(kernel, psi)
-    rel = kernel.relation
-    T = rel.target
-    inv = {psi(s): s for s in rel.source.ids}
-    vals = np.zeros(len(T.ids))
-    certs = []
-    for i, t in enumerate(T.ids):
-        s = inv.get(t)
-        if s is None:
-            continue
-        r = kernel.matrix_norm(s, t)
-        certs.append(r.certificate)
-        J = rel.weight(s, t) / T.weight(t)
-        vals[i] = r.value * J ** (1.0 / q)
-    value = lp_measure_norm(vals, T.weights, k)
-    return NormResult(value, weakest_certificate(certs))
+    return criterion_general_result(kernel, p, q)
 
 
 def criterion_uniform_bounds(

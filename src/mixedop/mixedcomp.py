@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotInjectiveError, SliceRangeError, UnknownAtomError
+from .errors import NonFiniteResultError, NotInjectiveError, SliceRangeError, UnknownAtomError
 from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm
 from .kernels import OperatorKernel, kappa
 from .measure import (
@@ -250,7 +250,10 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> float:
     mu = phi.codomain.outer
     rho = _slice_norms({c: J_u[c] ** (1.0 / alpha) for c in phi.codomain.cells}, phi.codomain, k_in)
     vals = rho * np.array([J_psi[t] ** (1.0 / q) for t in mu.ids])
-    return lp_measure_norm(vals, mu.weights, k_out)
+    value = lp_measure_norm(vals, mu.weights, k_out)
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"mixed composition criterion {value} is not finite (overflow in the arithmetic)")
+    return value
 
 
 def mixed_product_density_norm(phi: SplitMapping, p, q, alpha, beta) -> float:

@@ -39,6 +39,7 @@ from mixedop import (
 )
 from mixedop import kernels
 from mixedop.boundedness import phi_audit_violation
+from mixedop.fibers import lp_measure_norm
 from mixedop.kernels import effectiveness_objective
 from mixedop.generators import (
     identity_instance,
@@ -176,6 +177,100 @@ class TestCriterionUniformBounds:
         ker, psi = self._two_to_one(values=(3.0, 1.0))
         with pytest.raises(HypothesisViolationError):
             criterion_uniform_bounds(ker, psi, 1.0, 2.0, 2, 2)
+
+
+FOLDED_PQ = [(2, 2), (3, 2), (4, 1.5), (2, 1), (1.5, 1.5), (7.3, 3)]
+
+
+def _graph_reference(kernel, psi, p, q):
+    """The graph criterion by its own formula: the L^kappa(T) norm of
+    ||P(psi^-1(t), t)|| (lam / mu_t)^(1/q), 0 off the image of psi."""
+    rel = kernel.relation
+    T = rel.target
+    inv = {psi(s): s for s in rel.source.ids}
+    vals = np.zeros(len(T.ids))
+    certs = []
+    for i, t in enumerate(T.ids):
+        s = inv.get(t)
+        if s is None:
+            continue
+        r = kernel.matrix_norm(s, t)
+        certs.append(r.certificate)
+        vals[i] = r.value * (rel.weight(s, t) / T.weight(t)) ** (1.0 / q)
+    return lp_measure_norm(vals, T.weights, kappa(p, q)), kernels.weakest_certificate(certs)
+
+
+def _uniform_t_reference(kernel, rho, p, q):
+    """The t-uniform criterion by its own formula: ||rho J^(1/q)||_{L^kappa(T)}
+    with J = lam_t / mu_t the marginal density."""
+    rel = kernel.relation
+    T = rel.target
+    lam_t = np.array([sum(rel.weights[rel.fiber(t)].tolist()) for t in T.ids])
+    vals = np.array([rho[t] for t in T.ids]) * (lam_t / T.weights) ** (1.0 / q)
+    return lp_measure_norm(vals, T.weights, kappa(p, q))
+
+
+def _rho_instance(seed):
+    """A random scalar instance rescaled so that ||P(s, t)|| = rho(t), with
+    rho drawn from [0.5, 2] per target atom."""
+    ker = random_scalar_instance(seed, max_atoms=12)
+    T = ker.relation.target
+    g = np.random.default_rng(seed)
+    rho = {t: float(g.uniform(0.5, 2.0)) for t in T.ids}
+    matrices = {(s, t): ker.matrix(s, t) * (rho[t] / ker.matrix_norm(s, t).value) for (s, t) in ker.pairs}
+    return OperatorKernel(ker.relation, ker.domain_family, ker.codomain_family, matrices), DensityFn(rho)
+
+
+class TestFoldedCriteriaMatchTheirFormulas:
+    # the graph and t-uniform criteria return the general criterion; their
+    # own formulas agree with it up to rounding
+    @pytest.mark.parametrize("seed", range(50))
+    def test_graph(self, seed):
+        ker, psi = random_graph_instance(seed, max_atoms=8, max_dim=3, injective=True)
+        for p, q in FOLDED_PQ:
+            got = criterion_graph_result(ker, psi, p, q)
+            ref, cert = _graph_reference(ker, psi, p, q)
+            assert abs(got.value - ref) <= 1e-14 * ref
+            assert got.certificate == cert
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_uniform_t(self, seed):
+        ker, rho = _rho_instance(seed)
+        for p, q in FOLDED_PQ:
+            ref = _uniform_t_reference(ker, rho, p, q)
+            assert abs(criterion_uniform_t(ker, rho, p, q) - ref) <= 1e-14 * ref
+
+
+def _huge_target_identity():
+    """The identity graph of three source atoms of mass 1 onto three target
+    atoms of mass 1e308, scalar fibers, P = 1: the weighted criterion sums
+    overflow, while the exact norm is 3^(1/kappa) 1e-308^(1/p)."""
+    S = FiniteMeasureSpace({f"s{i}": 1.0 for i in range(3)})
+    T = FiniteMeasureSpace({f"t{i}": 1e308 for i in range(3)})
+    psi = AtomMap(S, T, {f"s{i}": f"t{i}" for i in range(3)})
+    rel = graph_relation(psi, S)
+    ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs})
+    return ker, psi, DensityFn({t: 1.0 for t in T.ids})
+
+
+class TestNonFiniteCriteria:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("which", ["uniform_t", "uniform_bounds", "graph", "general"])
+    def test_overflow_raises(self, pq, which):
+        ker, psi, rho = _huge_target_identity()
+        call = {
+            "uniform_t": lambda: criterion_uniform_t(ker, rho, *pq),
+            "uniform_bounds": lambda: criterion_uniform_bounds(ker, psi, 1.0, 1.0, *pq),
+            "graph": lambda: criterion_graph_result(ker, psi, *pq),
+            "general": lambda: criterion_general_result(ker, *pq),
+        }[which]
+        with pytest.raises(NonFiniteResultError):
+            call()
+
+    def test_exact_norm_stays_finite(self):
+        ker, _, _ = _huge_target_identity()
+        assert exact_norm_decoupled(ker, 2, 1).value == 1.7320508075688772e-154
 
 
 class TestExactNormDecoupled:

@@ -405,6 +405,22 @@ class TestRunVerb:
         assert all(r["equality"] == "true" for r in rows)
         assert all(r["alpha"] for r in rows)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_mixedcomp_criterion_exits_1(self, tmp_path, capsys):
+        # inner masses of 1e308 overflow the slice sums; the true norms are
+        # about 1e-154 and 1e-103, so neither nan nor inf may be reported
+        data = json.loads((SCENARIOS / "mixed_composition.json").read_text())
+        data["spaces"]["Y"] = {"y1": 1e308, "y2": 1e308}
+        data["mixed_composition"]["u"]["s1"] = {"x1": "y1", "x2": "y2"}
+        data["checks"] = [{"kind": "mixedcomp", "exponents": [[2, 1, 1, 2], [2, 2, 1, 2], [3, 2, 2, 3]]}]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mixedop: error: mixed composition criterion")
+        assert "not finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_change_of_vars_row(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["run", str(SCENARIOS / "graph_swap.json"), "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package under test."""
+"""Every demo script runs to completion against the package under test,
+with numpy's RuntimeWarnings as errors and nothing written to stderr."""
 
 import os
 import subprocess
@@ -22,7 +23,8 @@ def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stderr == ""
