@@ -337,22 +337,6 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
 # oracles
 # ---------------------------------------------------------------------------
 
-def _profile_ratios(X: np.ndarray, k: float) -> np.ndarray:
-    """Closed-form magnitude optimization per sample column.
-
-    X holds c~(t) mu_t^(-1/p) per atom (rows) and sample (columns); the
-    optimal ratio is the column ell^kappa aggregate (max when kappa is
-    infinite), by the Holder equality choice of the magnitude profile.
-    Overwrites X.
-    """
-    if math.isinf(k):
-        return X.max(axis=0) if X.size else np.zeros(X.shape[1])
-    M = X.max(axis=0)
-    X /= np.where(M > 0, M, 1.0)
-    X **= k
-    return M * np.sum(X, axis=0) ** (1.0 / k)
-
-
 def oracle_norm_sampling(
     kernel: OperatorKernel, p, q, n_samples: int = 1000, seed: int = 0
 ) -> float:
@@ -360,10 +344,11 @@ def oracle_norm_sampling(
 
     Draws seeded random unit directions per atom (one counter-based
     stream per atom, so parallel evaluation order cannot change the
-    result), optimizes the magnitude profile in closed form, and takes
-    the best sample.  On scalar fibers directions are just signs, so a
-    single sample is already exact.  The per-atom values do not depend
-    on p: the kernel keeps them per (q, seed, samples), and only the row
+    result) and takes each atom's best sample c~(t), since M f at t
+    depends only on f(t).  The magnitude profile is then optimized in
+    closed form, as in ``exact_norm_decoupled`` with c~ for c(t).  On
+    scalar fibers directions are just signs, so a single sample is
+    already exact.  The kernel keeps c~ per (q, seed, samples); only the
     factors mu_t^(-1/p) are applied per call.
     """
     p, q, k = _finite_pair(p, q)
@@ -371,16 +356,14 @@ def oracle_norm_sampling(
     if n < 1:
         raise ValueError("n_samples must be >= 1")
     T = kernel.relation.target
-    if not len(T.ids):
-        return 0.0
-    C = kernel.oracle_samples(q, seed, n)
-    factors = np.zeros(len(T.ids))  # mu_t^(-1/p) per row of C; 0 on an all-zero row, whatever mu_t
-    for i, (t, w, row) in enumerate(zip(T.ids, T.weights.tolist(), C.any(axis=1).tolist())):
+    c = kernel.oracle_samples(q, seed, n)
+    factors = np.zeros(len(T.ids))  # mu_t^(-1/p); 0 where c~ is 0, whatever mu_t
+    for i, (t, w, nonzero) in enumerate(zip(T.ids, T.weights.tolist(), (c != 0.0).tolist())):
         try:
-            factors[i] = w ** (-1.0 / p) if row else 0.0
+            factors[i] = w ** (-1.0 / p) if nonzero else 0.0
         except OverflowError:
             raise NonFiniteResultError(f"oracle factor of atom {t!r} is not finite (overflow in the arithmetic)") from None
-    return float(np.max(_profile_ratios(C * factors[:, None], k)))
+    return float(power_sums(c * factors, k))
 
 
 def section_ratios(

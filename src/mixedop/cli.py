@@ -39,11 +39,13 @@ from .boundedness import (
     sandwich_report,
 )
 from .errors import (
+    InvalidExponentError,
     MixedOpError,
     SandwichViolationError,
     ScenarioError,
     UnsupportedExponentsError,
 )
+from .fibers import check_exponent
 from .generators import random_density
 from .kernels import kappa
 from .measure import integrate_change_of_variables
@@ -338,13 +340,12 @@ def _grid(text: str, where: str) -> list[float]:
         tok = tok.strip()
         if not tok:
             continue
-        if tok.lower() == "inf":
-            vals.append(math.inf)
-        else:
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ScenarioError(f"{where}: bad number {tok!r}") from None
+        try:
+            vals.append(check_exponent(float(tok)))  # float reads "inf" too
+        except InvalidExponentError as e:
+            raise ScenarioError(f"{where}: {e}") from None
+        except ValueError:
+            raise ScenarioError(f"{where}: bad number {tok!r}") from None
     if not vals:
         raise ScenarioError(f"{where}: empty grid")
     return vals

@@ -57,7 +57,7 @@ _START_SEED = 0x9E3779B9
 CIRCLE_POINTS = 10_000
 SPHERE_POINTS = 100_000
 
-# the sampling oracle keeps |T| x samples float64 values: at most 800 MB
+# the sampling oracle draws at most this many directions (|T| x samples)
 ORACLE_MAX_ENTRIES = 10**8
 # and reduces each target's directions in pieces of at most this many rows
 ORACLE_CHUNK = 65_536
@@ -404,23 +404,23 @@ class OperatorKernel:
                 cache[(t, q)] = NormResult(float(value), LOWER_BOUND)
 
     def oracle_samples(self, q: float, seed: int, samples: int) -> np.ndarray:
-        """The sampling oracle's p-free values (cached per (q, seed, samples)):
-        row i holds the objective of ``effectiveness_objective`` at the
-        ``samples`` seeded unit directions of target i (``T.ids`` order),
-        zero for an atom whose fiber is empty.  Read-only; |T| x samples
-        float64 entries, refused above ORACLE_MAX_ENTRIES; drawn and reduced
-        in pieces of at most ORACLE_CHUNK rows, with the values of one block.
+        """The sampling oracle's p-free values c~ (cached per (q, seed,
+        samples)): entry i is the largest ``effectiveness_objective`` value
+        at the ``samples`` seeded unit directions of target i (``T.ids``
+        order), zero for an atom whose fiber is empty.  Read-only; refused
+        above ORACLE_MAX_ENTRIES directions in all; drawn and reduced in
+        pieces of at most ORACLE_CHUNK rows, with the values of one block.
         """
         key = (q, seed, samples)
-        C = self._sample_cache.get(key)
-        if C is None:
+        c = self._sample_cache.get(key)
+        if c is None:
             T = self.relation.target
             if len(T.ids) * samples > ORACLE_MAX_ENTRIES:
                 raise MixedOpError(
                     f"the sampling oracle needs |T| x samples = {len(T.ids)} x {samples}"
-                    f" float64 values, above its bound of {ORACLE_MAX_ENTRIES} (800 MB)"
+                    f" directions, above its bound of {ORACLE_MAX_ENTRIES}"
                 )
-            C = np.zeros((len(T.ids), samples))
+            c = np.zeros(len(T.ids))
             for i, (t, n) in enumerate(zip(T.ids, self.relation.size.tolist())):
                 if not n:
                     continue
@@ -430,12 +430,12 @@ class OperatorKernel:
                 # equal pieces: none is a single row (unless samples is 1),
                 # whose matmul rounds differently from a row of a block
                 pieces = -(-samples // ORACLE_CHUNK)
-                for j in range(pieces):
-                    begin, end = samples * j // pieces, samples * (j + 1) // pieces
-                    C[i, begin:end] = objective(_unit_rows(draw((end - begin, W.dim)), W))
-            C.flags.writeable = False
-            self._sample_cache[key] = C
-        return C
+                bounds = [samples * j // pieces for j in range(pieces + 1)]
+                c[i] = np.max([objective(_unit_rows(draw((end - begin, W.dim)), W)).max()
+                               for begin, end in zip(bounds, bounds[1:])])
+            c.flags.writeable = False
+            self._sample_cache[key] = c
+        return c
 
     def scaled(self, factor: float) -> "OperatorKernel":
         """A new kernel with every matrix multiplied by ``factor``."""

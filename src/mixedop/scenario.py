@@ -19,7 +19,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .errors import MixedOpError, ScenarioError
-from .fibers import FiberFamily, NormSpec
+from .fibers import FiberFamily, NormSpec, check_exponent
 from .kernels import OperatorKernel
 from .measure import AtomMap, DensityFn, FiniteMeasureSpace, WeightedRelation
 from .mixedcomp import MixedDomain, SplitMapping
@@ -391,7 +391,8 @@ def _load_checks(data: dict, mixed: SplitMapping | None) -> list[Check]:
             entry = _expect(entry, list, f"{where}.exponents[{j}]")
             if len(entry) != size:
                 raise ScenarioError(f"{where}.exponents[{j}]: a {kind} check takes {shape}")
-            exponents.append(tuple(parse_number(x, f"{where}.exponents[{j}]") for x in entry))
+            with _at(f"{where}.exponents[{j}]"):
+                exponents.append(tuple(check_exponent(parse_number(x, f"{where}.exponents[{j}]")) for x in entry))
         out.append(
             Check(
                 kind=kind,

@@ -495,7 +495,7 @@ class TestCheckShapes:
 
 class TestOracleBound:
     """The sampling oracle refuses |T| x samples above ORACLE_MAX_ENTRIES
-    before it allocates anything."""
+    before it draws anything."""
 
     @pytest.mark.parametrize("samples", [10**12, 10**400], ids=["1e12", "1e400"])
     def test_check_field(self, tmp_path, capsys, samples):
@@ -504,7 +504,7 @@ class TestOracleBound:
         assert main(["run", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mixedop: error: the sampling oracle needs |T| x samples = 2 x ")
-        assert "above its bound of 100000000 (800 MB)" in err
+        assert err.endswith(f" x {samples} directions, above its bound of 100000000\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", [["run"], ["sweep", "--p-grid", "4", "--q-grid", "2"]])
@@ -518,7 +518,7 @@ class TestOracleBound:
         kernel = scalar17_instance()  # two target atoms
         with pytest.raises(MixedOpError, match="sampling oracle"):
             kernel.oracle_samples(2.0, 0, ORACLE_MAX_ENTRIES // 2 + 1)
-        assert kernel.oracle_samples(2.0, 0, 1000).shape == (2, 1000)
+        assert kernel.oracle_samples(2.0, 0, 1000).shape == (2,)
 
 
 class TestSamplesFlag:
@@ -654,6 +654,44 @@ class TestLoaderMessages:
         assert main(["run", _edited(tmp_path, "scalar17", path, value), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
         assert not out.exists()
+
+
+class TestExponentRange:
+    """An exponent outside [1, inf] is an input error where it is read; a
+    valid p < q is still a rejected row (``test_rejected_exponents_row``)."""
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("scalar17", ("checks", 1, "exponents", 0), [0.5, 1],
+         "checks[1].exponents[0]: exponent must lie in [1, inf], got 0.5"),
+        ("scalar17", ("checks", 1, "exponents", 0), [2, 0.5],
+         "checks[1].exponents[0]: exponent must lie in [1, inf], got 0.5"),
+        ("scalar17", ("checks", 0, "exponents", 1), [-math.inf, 2],
+         "checks[0].exponents[1]: exponent must lie in [1, inf], got -inf"),
+        ("mixed_composition", ("checks", 0, "exponents", 2), [2, 2, 2, 0.5],
+         "checks[0].exponents[2]: exponent must lie in [1, inf], got 0.5"),
+    ])
+    def test_check_exponent(self, tmp_path, capsys, name, path, value, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, name, path, value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grids, message", [
+        (["--p-grid", "0.5", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got 0.5"),
+        (["--p-grid", "2", "--q-grid", "0.5"], "--q-grid: exponent must lie in [1, inf], got 0.5"),
+        (["--p-grid=-inf", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got -inf"),
+        (["--p-grid", "2,nan", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got nan"),
+    ])
+    def test_sweep_grid(self, tmp_path, capsys, grids, message):
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(SCENARIOS / "scalar17.json"), *grids, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_grid_inf_is_an_exponent(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(SCENARIOS / "scalar17.json"), "--p-grid", "INF", "--q-grid", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[2] == "inf"
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
