@@ -286,9 +286,23 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> PhiValue:
     return PhiValue(subset, _ordered_sum(_phi_terms(kernel, sorted(subset), p, q, k)))
 
 
+def _derivatives(ids, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Phi'(t) = Phi({t}) / mu_t for each atom of ``ids``; an error names
+    the first atom whose quotient or moment Phi'(t) mu_t is not finite (a
+    tiny mu_t overflows the quotient of a finite term, and then both)."""
+    with np.errstate(over="ignore"):
+        quotients = terms / weights
+        bad = np.flatnonzero(~np.isfinite(quotients * weights))
+    if bad.size:
+        t = ids[bad[0]]
+        raise NonFiniteResultError(f"set function derivative of atom {t!r} is not finite (overflow in the arithmetic)")
+    return quotients
+
+
 def phi_derivative(kernel: OperatorKernel, t_id: str, p, q) -> float:
     """Per-atom derivative Phi'(t) = Phi({t}) / mu_t (atomic balls are atoms)."""
-    return phi_value(kernel, [t_id], p, q).value / kernel.relation.target.weight(t_id)
+    term = np.array([phi_value(kernel, [t_id], p, q).value])
+    return float(_derivatives([t_id], term, np.array([kernel.relation.target.weight(t_id)]))[0])
 
 
 def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int) -> float:
@@ -310,8 +324,7 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
     terms = _phi_terms(kernel, T.ids, p, q, k)
     phi_total = PhiValue(frozenset(T.ids), _ordered_sum(terms)).value
     denom = phi_total if phi_total > 0 else 1.0
-    with np.errstate(over="ignore"):
-        moments = terms / T.weights * T.weights  # phi_derivative(t) * mu_t
+    moments = _derivatives(T.ids, terms, T.weights) * T.weights  # phi_derivative(t) * mu_t
     worst = 0.0
     for j in range(partitions):
         labels = random_partition_labels(len(T.ids), seed * 100003 + j)

@@ -188,7 +188,7 @@ class OperatorKernel:
         # is filled, and where the pair has no finite closed form
         self._norm_values = np.full(len(pairs), np.nan)
         self._norm_cache: dict[tuple[str, str], NormResult] = {}
-        self._eff_cache: dict[tuple[str, float], NormResult] = {}
+        self._eff_cache: dict[float, list[NormResult]] = {}
         self._sample_cache: dict[tuple[float, int, int], np.ndarray] = {}
 
     @property
@@ -273,20 +273,26 @@ class OperatorKernel:
         inside = slots < self.relation.size[targets][:, None]
         return np.where(inside, self.relation.order[np.where(inside, begin + slots, 0)], -1)
 
+    def _groups(self, P: np.ndarray):
+        """The weight-conjugated matrices of the pairs of P (a padded
+        ``_fiber_matrix``) grouped by shape stack and out exponent b:
+        ``(B, b, rows, slots)`` per group, matrix i being the pair at
+        ``P[rows[i], slots[i]]``, in row-major order."""
+        rows, slots = np.nonzero(P >= 0)
+        pairs = P[rows, slots]
+        stack, b = self._stack_of[pairs], self._out_r[self.relation.src[pairs]]
+        for k in np.unique(stack).tolist():
+            B = self._conjugate(k)[0]
+            for bk in dict.fromkeys(b[stack == k].tolist()):
+                sel = np.flatnonzero((stack == k) & (b == bk))
+                yield B[self._slot_of[pairs[sel]]], bk, rows[sel], slots[sel]
+
     def _per_pair(self, P: np.ndarray, f, shape: tuple[int, ...]) -> np.ndarray:
-        """``f(B, b)`` of the weight-conjugated matrices B of the pairs P
-        (pair indices, -1 for padding), per stack and out exponent b, one
-        row per pair index: zero for the pairs not in P and in a last row."""
-        n = self._stack_of.size
-        wanted = np.zeros(n, dtype=bool)
-        wanted[P[P >= 0]] = True
-        out = np.zeros((n + 1,) + shape)
-        for k in np.unique(self._stack_of[wanted]).tolist():
-            idx = self._stacks[k][1]
-            B, _, b = self._conjugate(k)
-            for bk in dict.fromkeys(b[wanted[idx]].tolist()):
-                js = np.flatnonzero(wanted[idx] & (b == bk))
-                out[idx[js]] = f(B[js], bk)
+        """``f(B, b)`` of each group of ``_groups(P)``, one row per pair
+        index: zero for the pairs not in P and in a last row."""
+        out = np.zeros((self._stack_of.size + 1,) + shape)
+        for B, b, rows, slots in self._groups(P):
+            out[P[rows, slots]] = f(B, b)
         return out
 
     def _fiber_sums(self, targets: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
@@ -323,85 +329,74 @@ class OperatorKernel:
 
     def effectiveness(self, t_id: str, q: float) -> NormResult:
         """c(t) at a validated finite q (cached); a miss solves every
-        uncached target of the kernel at this q (``fiber_effectiveness``)."""
-        key = (t_id, q)
-        cached = self._eff_cache.get(key)
-        if cached is None:
-            if t_id not in self.relation.target:
-                raise UnknownAtomError(f"unknown atom {t_id!r}")
-            self._fill_effectiveness(q)
-            cached = self._eff_cache[key]
-        return cached
+        target of the kernel at this q (``_solve_effectiveness``)."""
+        u = self.relation.target.index(t_id)
+        results = self._eff_cache.get(q)
+        if results is None:
+            results = self._eff_cache[q] = self._solve_effectiveness(q)
+        return results[u]
 
-    def _fill_effectiveness(self, q: float) -> None:
-        """Cache c(t) at q for every target of the kernel not cached yet.
+    def _solve_effectiveness(self, q: float) -> list[NormResult]:
+        """c(t) at q for every target, in ``T.ids`` order.
 
-        One loop picks each target's case; the closed forms run stacked,
-        each value bit-identical to the same formula on one target:
+        A mask over the layout arrays picks each target's case, and each
+        case runs stacked per dim of W_t, each closed-form value
+        bit-identical to the same formula on one target:
 
         - an empty or singleton fiber, or a scalar W_t: the fiber sum of
           the matrix norms (``_norm_sums``);
         - W_t with exponent 1: the largest over the columns of W_t of the
           fiber sums of the b-norms of that column of each matrix;
         - q = 2 with all-l2 fibers: the largest eigenvalue of the sum of
-          ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim.
-
-        The ascent problems are batched by the dimension and exponent of
-        W_t, from the weight-conjugated stacks, each conjugated once.
+          ``lam B^T B`` in fiber order, one ``eigvalsh`` per dim;
+        - the others: one ``_ascent`` per dim and exponent of W_t, on the
+          weight-conjugated groups of ``_groups``.
         """
-        cache = self._eff_cache
         rel = self.relation
         T = rel.target.ids
-        weights = np.append(rel.weights, 0.0)  # 0 at the padding
-        conjugated = functools.cache(lambda k: self._conjugate(k)[0])
-        summed: list[int] = []
-        columns: dict[int, list[int]] = {}
-        eigen: dict[int, list[int]] = {}
-        batches: dict[tuple[int, float], list] = {}
-        layout = zip(T, rel.start.tolist(), rel.size.tolist(), self._in_dim.tolist(),
-                     self._in_r.tolist(), self._l2.tolist())
-        for u, (t, begin, n, d, r, l2) in enumerate(layout):
-            if (t, q) in cache:
-                continue
-            if n <= 1 or d == 1:
-                summed.append(u)
-            elif q == 2.0 and r == 2.0 and l2:
-                eigen.setdefault(d, []).append(u)
-            elif r == 1.0:
-                columns.setdefault(d, []).append(u)
-            else:
-                fiber = rel.order[begin:begin + n]
-                Bs = [conjugated(k)[j] for k, j in zip(self._stack_of[fiber].tolist(), self._slot_of[fiber].tolist())]
-                batches.setdefault((d, r), []).append((t, (Bs, self._out_r[rel.src[fiber]].tolist(), weights[fiber])))
-        for u, result in zip(summed, self._norm_sums(summed, q)):
-            cache[(T[u], q)] = result
-        for d, us in columns.items():
+        dims, rs = self._in_dim, self._in_r
+        summed = (rel.size <= 1) | (dims == 1)
+        eigen = ~summed & (q == 2.0) & (rs == 2.0) & self._l2
+        columns = ~summed & ~eigen & (rs == 1.0)
+        ascent = ~(summed | eigen | columns)
+        results = [None] * len(T)
+        us = np.flatnonzero(summed)
+        for u, result in zip(us.tolist(), self._norm_sums(us, q)):
+            results[u] = result
+        for d in dict.fromkeys(dims[columns].tolist()):
+            us = np.flatnonzero(columns & (dims == d))
             norms = self._per_pair(self._fiber_matrix(us), lambda B, b: power_sums(np.swapaxes(B, 1, 2), b), (d,))
-            for u, value in zip(us, self._fiber_sums(np.array(us), norms, q).max(axis=1).tolist()):
-                cache[(T[u], q)] = NormResult(value, EXACT)
+            for u, value in zip(us.tolist(), self._fiber_sums(us, norms, q).max(axis=1).tolist()):
+                results[u] = NormResult(value, EXACT)
+        weights = np.append(rel.weights, 0.0)  # 0 at the padding
         sums = {}
-        for d, us in eigen.items():
+        finite = np.ones(len(T), dtype=bool)
+        for d in dict.fromkeys(dims[eigen].tolist()):
+            us = np.flatnonzero(eigen & (dims == d))
             P = self._fiber_matrix(us)
             grams = weights[P][:, :, None, None] * self._per_pair(P, lambda B, b: np.swapaxes(B, 1, 2) @ B, (d, d))[P]
-            M = np.zeros((len(us), d, d))
+            M = np.zeros((us.size, d, d))
             for slot in range(P.shape[1]):
                 M += grams[:, slot]
-            sums[d] = M
-        bad = [u for d, M in sums.items()
-               for u, finite in zip(eigen[d], np.isfinite(M).all(axis=(1, 2)).tolist()) if not finite]
-        if bad:
+            sums[d] = us, M
+            finite[us] = np.isfinite(M).all(axis=(1, 2))
+        if not finite.all():
             # eigvalsh of a non-finite sum returns a wrong value or does not converge
             raise NonFiniteResultError(
-                f"c({T[min(bad)]!r}) is not finite: the sum of lam B^T B over its fiber overflows"
+                f"c({T[np.flatnonzero(~finite)[0]]!r}) is not finite: the sum of lam B^T B over its fiber overflows"
             )
-        for d, M in sums.items():
+        for us, M in sums.values():
             tops = np.linalg.eigvalsh((M + np.swapaxes(M, 1, 2)) / 2.0)[:, -1]
-            for u, top in zip(eigen[d], tops.tolist()):
-                cache[(T[u], q)] = NormResult(math.sqrt(max(top, 0.0)), EXACT)
-        for (_, a), items in batches.items():
-            values = _ascent([problem for _, problem in items], a, q)
-            for (t, _), value in zip(items, values):
-                cache[(t, q)] = NormResult(float(value), LOWER_BOUND)
+            for u, top in zip(us.tolist(), tops.tolist()):
+                results[u] = NormResult(math.sqrt(max(top, 0.0)), EXACT)
+        for d, a in dict.fromkeys(zip(dims[ascent].tolist(), rs[ascent].tolist())):
+            us = np.flatnonzero(ascent & (dims == d) & (rs == a))
+            P = self._fiber_matrix(us)
+            stacks = [_Stack(b, B, weights[P[rows, slots]][:, None], rows, slots)
+                      for B, b, rows, slots in self._groups(P)]
+            for u, value in zip(us.tolist(), _ascent(stacks, us.size, P.shape[1], a, q).tolist()):
+                results[u] = NormResult(value, LOWER_BOUND)
+        return results
 
     def oracle_samples(self, q: float, seed: int, samples: int) -> np.ndarray:
         """The sampling oracle's p-free values c~ (cached per (q, seed,
@@ -587,7 +582,7 @@ def _normalize_columns(X: np.ndarray, a: float) -> np.ndarray:
 
 
 class _Stack:
-    """The pair matrices of one (out dim, b) group of an ascent batch.
+    """The pair matrices of one (shape stack, b) group of an ascent batch.
 
     Slice i belongs to live problem ``owner[i]``, where it is matrix
     number ``slot[i]``; ``Y`` and ``V`` hold the current images and
@@ -620,10 +615,11 @@ def _sum_slots(stacks: list[_Stack], parts: list[np.ndarray], width: int, n: int
     return out.reshape((width, n) + parts[0].shape[1:]).sum(axis=0)
 
 
-def _ascent(problems: list[tuple[list[np.ndarray], list[float], np.ndarray]], a: float, q: float) -> np.ndarray:
+def _ascent(stacks: list[_Stack], n: int, width: int, a: float, q: float) -> np.ndarray:
     """Multistart fixed-point ascent for sup (sum_s lam_s ||B_s e||_{b_s}^q)^(1/q)
-    on the unit sphere of the unweighted a-norm, for a batch of problems
-    ``(Bs, bs, lams)`` sharing the input dimension; one best value each.
+    on the unit sphere of the unweighted a-norm, for n problems sharing
+    the input dimension, each of at most ``width`` matrices, given as
+    ``_Stack``s; one best value each.
 
     Each step maps x to Psi_{a'}(sum_s lam_s v_s^(q-1) B_s^T Psi_{b_s}(B_s x / v_s))
     with v_s = ||B_s x||_{b_s}, and renormalizes; the attained value is
@@ -631,30 +627,14 @@ def _ascent(problems: list[tuple[list[np.ndarray], list[float], np.ndarray]], a:
     matrix with q = 1 and lam = 1 is the induced a -> b norm; every
     weighting operation is then exact.
 
-    The matrices of all problems are stacked by (out dim, b), so every
-    product is the same per-slice matmul and every elementwise power the
-    same scalar exponent as for a problem solved alone, and per-problem
-    sums run in the problem's own matrix order: each value is
-    bit-identical to a batch of one.  A problem leaves the batch once
-    all its starts have moved by at most ``ASCENT_TOL``.
+    Every product is the same per-slice matmul and every elementwise
+    power the same scalar exponent as for a problem solved alone, and
+    ``_sum_slots`` adds each problem's parts in its own matrix order,
+    whatever the order of the stacks: each value is bit-identical to a
+    batch of one.  A problem leaves the batch once all its starts have
+    moved by at most ``ASCENT_TOL``.
     """
-    n = len(problems)
-    width = max(len(Bs) for Bs, _, _ in problems)
-    groups: dict[tuple[int, float], list] = {}
-    for i, (Bs, bs, lams) in enumerate(problems):
-        for k, (B, b, lam) in enumerate(zip(Bs, bs, lams)):
-            groups.setdefault((B.shape[0], b), []).append((i, k, B, lam))
-    stacks = [
-        _Stack(
-            b,
-            np.stack([B for _, _, B, _ in items]),
-            np.array([[lam] for _, _, _, lam in items]),
-            np.array([i for i, _, _, _ in items]),
-            np.array([k for _, k, _, _ in items]),
-        )
-        for (_, b), items in groups.items()
-    ]
-    X0 = _normalize_columns(_ascent_starts(problems[0][0][0].shape[1], ASCENT_STARTS), a)
+    X0 = _normalize_columns(_ascent_starts(stacks[0].B.shape[2], ASCENT_STARTS), a)
     X = np.repeat(X0[None], n, axis=0)
     live = np.arange(n)
     best = np.zeros(n)
@@ -712,7 +692,8 @@ def matrix_operator_norm(A: np.ndarray, in_norm: NormSpec, out_norm: NormSpec) -
     values = _closed_form_norms(B[None], a, b)
     if values is not None:
         return NormResult(float(values[0]), EXACT)
-    return NormResult(float(_ascent([([B], [b], np.ones(1))], a, 1.0)[0]), LOWER_BOUND)
+    one = np.zeros(1, dtype=np.intp)
+    return NormResult(float(_ascent([_Stack(b, B[None], np.ones((1, 1)), one, one)], 1, 1, a, 1.0)[0]), LOWER_BOUND)
 
 
 def _closed_form_norms(B: np.ndarray, a: float, b: float) -> np.ndarray | None:
@@ -795,8 +776,10 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     vertices, the objective being convex); q = 2 with all-l2 fibers
     (largest eigenvalue of the weight-conjugated quadratic form).
 
-    On a cache miss every uncached target of the kernel is solved at
-    this q in one pass (``OperatorKernel._fill_effectiveness``).
+    The first call at a q solves every target of the kernel at that q
+    in one pass, one mask over the kernel's layout arrays per case
+    (``OperatorKernel._solve_effectiveness``); later calls read the
+    cached list.
     """
     q = check_exponent(q)
     if math.isinf(q):

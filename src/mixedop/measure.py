@@ -328,7 +328,8 @@ def integrate_change_of_variables(
     """Both routes of the discrete change-of-variables identity.
 
     lhs = sum_s nu_s f(psi(s));  rhs = sum_t mu_t f(t) J_{psi^-1}(t).
-    The two agree up to rounding on every valid input.
+    The two agree up to rounding on every valid input; a side that
+    overflows is an error.
     """
     for t in mu.ids:
         if t not in f:
@@ -336,6 +337,8 @@ def integrate_change_of_variables(
     lhs = float(np.sum([nu.weight(s) * f[psi(s)] for s in nu.ids]))
     J = pushforward_volume_derivative(psi, nu, mu)
     rhs = float(np.sum([mu.weight(t) * f[t] * J[t] for t in mu.ids]))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFiniteResultError(f"change of variables is not finite: lhs {lhs}, rhs {rhs} (overflow in the arithmetic)")
     return lhs, rhs
 
 

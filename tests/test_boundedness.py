@@ -429,6 +429,20 @@ class TestPhiDerivative:
             phi_value(ker2, ["t1"], 4, 2).value / 2.0, rel=1e-15
         )
 
+    def test_overflowing_quotient_is_an_error(self):
+        # Phi({t1}) = (2 * (1e-200)^(-1/4))^4 = 1.6e201 is finite; Phi({t1}) / mu_t1 is not
+        S = FiniteMeasureSpace({"s1": 1.0, "s2": 4.0})
+        T = FiniteMeasureSpace({"t1": 1e-200, "t2": 1.0})
+        rel = WeightedRelation(S, T, [("s1", "t2", 1.0), ("s2", "t1", 4.0)])
+        ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {pr: [[1.0]] for pr in rel.pairs})
+        assert phi_value(ker, ["t1"], 4, 2).value == pytest.approx(1.6e201, rel=1e-14)
+        assert phi_derivative(ker, "t2", 4, 2) == pytest.approx(1.0, rel=1e-15)
+        message = "set function derivative of atom 't1' is not finite"
+        with pytest.raises(NonFiniteResultError, match=message):
+            phi_derivative(ker, "t1", 4, 2)
+        with pytest.raises(NonFiniteResultError, match=message):
+            phi_audit_violation(ker, 4, 2, 3, 0)
+
 
 def _reference_phi_value(kernel, subset, p, q) -> float:
     """Phi(A) added term by term over the sorted subset."""

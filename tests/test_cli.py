@@ -398,6 +398,33 @@ class TestRunVerb:
         assert main(["run", _write(tmp_path, data)]) == 1
         assert capsys.readouterr().err.startswith("mixedop: error: density value at 't1' must be finite")
 
+    def test_overflowing_change_of_vars_exits_1(self, tmp_path, capsys):
+        # nu_s1 f(psi(s1)) = 1e300 * 1e10 overflows on both sides; was a violation row, exit 2
+        data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+        data["spaces"]["S"] = {"s1": 1e300, "s2": 4.0}
+        data["densities"]["f"]["values"] = {"t1": 5.0, "t2": 1e10}
+        data["checks"] = [{"kind": "change_of_vars", "exponents": [[2, 2]], "mapping": "psi", "density": "f"}]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "mixedop: error: change of variables is not finite: lhs inf, rhs inf" \
+            " (overflow in the arithmetic)\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("verb", [["run"], ["phi-audit", "--partitions", "3"]])
+    def test_overflowing_phi_derivative_exits_1(self, tmp_path, capsys, verb):
+        # Phi({t1}) = 1.6e201 is finite, Phi({t1}) / mu_t1 overflows; was a violation row, exit 2
+        data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+        data["spaces"]["T"] = {"t1": 1e-200, "t2": 1.0}
+        del data["mappings"], data["densities"]
+        data["checks"] = [{"kind": "phi_audit", "exponents": [[4, 2]]}]
+        out = tmp_path / "out.csv"
+        assert main([verb[0], _write(tmp_path, data), *verb[1:], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "mixedop: error: set function derivative of atom 't1' is not finite" \
+            " (overflow in the arithmetic)\n"
+        assert captured.out == "" and not out.exists()
+
     def test_mixedcomp_scenario(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["run", str(SCENARIOS / "mixed_composition.json"), "--out", str(out)]) == 0

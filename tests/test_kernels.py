@@ -20,6 +20,7 @@ from mixedop import (
     NormSpec,
     OperatorKernel,
     Section,
+    UnknownAtomError,
     UnsupportedExponentsError,
     WeightedRelation,
     apply_mixed,
@@ -53,6 +54,7 @@ from mixedop.kernels import (
     NormResult,
     _ascent,
     _ascent_starts,
+    _Stack,
     _col_norms,
     _dual,
     _dual_power,
@@ -550,22 +552,6 @@ def _ascent_batches(draw):
     return problems
 
 
-class TestBatchedAscent:
-    @settings(max_examples=60, deadline=None)
-    @given(problems=_ascent_batches(), a=st.sampled_from([1.5, 3.0, INF]), q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-    def test_batch_equals_each_problem_alone(self, problems, a, q):
-        batched = _ascent(problems, a, q)
-        for problem, value in zip(problems, batched):
-            assert value == _ascent([problem], a, q)[0] == _reference_ascent(*problem, a, q)
-
-    def test_effectiveness_equals_target_alone(self):
-        for seed in range(6):
-            ker = random_instance(seed, max_atoms=8, max_dim=3, density=0.6)
-            for t in ker.relation.target.ids:
-                alone = fiber_effectiveness(ker.restrict_targets([t]), t, 2.5)
-                assert fiber_effectiveness(ker, t, 2.5) == alone
-
-
 def _reference_matrix_norm(A, in_norm, out_norm):
     """The closed forms as one matrix at a time, with Python-level
     reductions: what the stacked per-kernel fill must reproduce bit for
@@ -587,7 +573,7 @@ def _reference_matrix_norm(A, in_norm, out_norm):
 
 
 @st.composite
-def _closed_form_kernels(draw, fibers=False):
+def _closed_form_kernels(draw, fibers=False, every_case=False):
     """Pairs between 2-6 targets and sources whose weighted fibers share
     a few (dim, r) kinds, so several shape groups hold several matrices:
     dims 1-4, r in {1, 1.5, 2, 3, inf}, dense, zero and rank-one
@@ -596,19 +582,31 @@ def _closed_form_kernels(draw, fibers=False):
     are 6-12 sources, each
     target's fiber takes a random 0-12 of them with random weights
     (sizes from 8 on, where ``np.sum`` turns pairwise, included), and
-    some instances have all-l2 fibers or only exponent-1 targets."""
+    some instances have all-l2 fibers or only exponent-1 targets.
+    ``every_case`` implies ``fibers``: 4-8 targets cycle through a scalar
+    W_t and W_t of one dim with exponents 1, 2 and one of {1.5, 3, inf},
+    over all-l2 V_s, so at q = 2 one kernel holds every case of c(t)."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     every = [1.0, 1.5, 2.0, 3.0, INF]
-    mode = draw(st.sampled_from(["any", "l2", "l1"])) if fibers else "any"
+    fibers = fibers or every_case
+    mode = "every_case" if every_case else draw(st.sampled_from(["any", "l2", "l1"])) if fibers else "any"
 
-    def family(prefix, count, rs=every):
-        kinds = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(rs)), min_size=1, max_size=3))
+    def family(prefix, count, rs=every, kinds=None):
         base = FiniteMeasureSpace({f"{prefix}{i}": 1.0 for i in range(count)})
-        picks = draw(st.lists(st.sampled_from(kinds), min_size=len(base.ids), max_size=len(base.ids)))
+        if kinds is None:
+            kinds = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(rs)), min_size=1, max_size=3))
+            picks = draw(st.lists(st.sampled_from(kinds), min_size=len(base.ids), max_size=len(base.ids)))
+        else:
+            picks = [kinds[i % len(kinds)] for i in range(count)]
         return FiberFamily(base, {i: NormSpec(r, g.uniform(0.2, 5.0, d)) for i, (d, r) in zip(base.ids, picks)})
 
-    W = family("t", draw(st.integers(2, 6)), {"any": every, "l2": [2.0], "l1": [1.0]}[mode])
-    V = family("s", int(g.integers(6, 13)) if fibers else draw(st.integers(2, 6)), [2.0] if mode == "l2" else every)
+    if mode == "every_case":
+        d = draw(st.integers(2, 4))
+        other = draw(st.sampled_from([1.5, 3.0, INF]))
+        W = family("t", draw(st.integers(4, 8)), kinds=[(1, 2.0), (d, 1.0), (d, 2.0), (d, other)])
+    else:
+        W = family("t", draw(st.integers(2, 6)), {"any": every, "l2": [2.0], "l1": [1.0]}[mode])
+    V = family("s", int(g.integers(6, 13)) if fibers else draw(st.integers(2, 6)), every if mode in ("any", "l1") else [2.0])
     if fibers:
         sources = list(V.base.ids)
         pairs = [
@@ -634,6 +632,74 @@ def _closed_form_kernels(draw, fibers=False):
             mats[(s, t)] = g.standard_normal((m, d)) * 10.0 ** g.integers(-spread, spread + 1)
     rel = WeightedRelation(V.base, W.base, [(s, t, w) for (s, t), w in zip(pairs, weights.tolist())])
     return OperatorKernel(rel, W, V, mats)
+
+
+def _stacked(problems):
+    """``_ascent``'s arguments for problems ``(Bs, bs, lams)``: their
+    matrices stacked by (out dim, b), the problem count and the largest
+    matrix count."""
+    groups = {}
+    for i, (Bs, bs, lams) in enumerate(problems):
+        for k, (B, b, lam) in enumerate(zip(Bs, bs, lams)):
+            groups.setdefault((B.shape[0], b), []).append((i, k, B, lam))
+    stacks = [
+        _Stack(b, np.stack([B for _, _, B, _ in items]), np.array([[lam] for *_, lam in items]),
+               np.array([i for i, *_ in items]), np.array([k for _, k, *_ in items]))
+        for (_, b), items in groups.items()
+    ]
+    return stacks, len(problems), max(len(Bs) for Bs, _, _ in problems)
+
+
+class TestBatchedAscent:
+    @settings(max_examples=60, deadline=None)
+    @given(problems=_ascent_batches(), a=st.sampled_from([1.5, 3.0, INF]), q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_batch_equals_each_problem_alone(self, problems, a, q):
+        batched = _ascent(*_stacked(problems), a, q)
+        for problem, value in zip(problems, batched):
+            assert value == _ascent(*_stacked([problem]), a, q)[0] == _reference_ascent(*problem, a, q)
+
+    def test_effectiveness_equals_target_alone(self):
+        for seed in range(6):
+            ker = random_instance(seed, max_atoms=8, max_dim=3, density=0.6)
+            for q in (1.5, 2.0, 2.5):
+                for t in ker.relation.target.ids:
+                    alone = fiber_effectiveness(ker.restrict_targets([t]), t, q)
+                    assert fiber_effectiveness(ker, t, q) == alone
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel=_closed_form_kernels(every_case=True), q=st.sampled_from([1.5, 2.0, 2.5]))
+    def test_effectiveness_equals_target_alone_all_cases(self, kernel, q):
+        # summed, column, ascent and (at q = 2) eigen targets solved in one kernel
+        for t in kernel.relation.target.ids:
+            alone = fiber_effectiveness(kernel.restrict_targets([t]), t, q)
+            assert fiber_effectiveness(kernel, t, q) == alone
+
+
+class TestEffectivenessCache:
+    @staticmethod
+    def _counted(kernel):
+        calls = []
+        solve = kernel._solve_effectiveness
+        kernel._solve_effectiveness = lambda q: calls.append(q) or solve(q)
+        return calls
+
+    def test_one_solve_per_q(self):
+        ker = random_instance(3, max_atoms=8, max_dim=3, density=0.6)
+        calls = self._counted(ker)
+        T = ker.relation.target.ids
+        first = [fiber_effectiveness(ker, t, 2.5) for t in T]
+        again = [fiber_effectiveness(ker, t, 2.5) for t in T]
+        assert calls == [2.5]
+        assert all(x is y for x, y in zip(first, again))
+        fiber_effectiveness(ker, T[0], 1.5)
+        assert calls == [2.5, 1.5]
+
+    def test_unknown_atom_raises_before_any_solve(self):
+        ker = random_instance(3, max_atoms=8, max_dim=3, density=0.6)
+        calls = self._counted(ker)
+        with pytest.raises(UnknownAtomError, match="unknown atom 'nope'"):
+            fiber_effectiveness(ker, "nope", 2.0)
+        assert calls == []
 
 
 class TestClosedFormFill:

@@ -11,6 +11,7 @@ from mixedop import (
     AtomMap,
     DensityFn,
     FiniteMeasureSpace,
+    NonFiniteResultError,
     UnknownAtomError,
     WeightedRelation,
     graph_relation,
@@ -305,6 +306,14 @@ class TestChangeOfVariables:
             f = random_density(T, seed + 3)
             lhs, rhs = integrate_change_of_variables(f, psi, S, T)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_overflow_is_an_error(self):
+        S = FiniteMeasureSpace({"s1": 1e300, "s2": 4.0})
+        T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
+        psi = AtomMap(S, T, {"s1": "t2", "s2": "t1"})
+        f = DensityFn({"t1": 5.0, "t2": 1e10})
+        with pytest.raises(NonFiniteResultError, match="change of variables is not finite: lhs inf, rhs inf"):
+            integrate_change_of_variables(f, psi, S, T)
 
 
 class TestGraphRelation:
