@@ -6,8 +6,9 @@ Verbs:
   phi-audit  additivity / monotonicity / derivative audit of the set function
 
 Exit codes: 0 when all invariant assertions hold, 1 on input errors
-(usage errors and non-finite results included), 2 when a sandwich or
-equality assertion fails.  Output is CSV with a fixed column order;
+(usage errors, undecodable scenario files, unwritable output and
+non-finite results included), 2 when a sandwich or equality assertion
+fails.  Output is CSV with a fixed column order;
 floats carry 17 significant digits, and identical inputs with the same
 seed produce byte-identical files (wall times are written as 0 unless
 --timing is passed).
@@ -112,7 +113,10 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         writer.writerow([_fmt(row[c]) for c in COLUMNS])
     data = buf.getvalue()
     if out_path:
-        Path(out_path).write_text(data, encoding="utf-8")
+        try:
+            Path(out_path).write_text(data, encoding="utf-8")
+        except OSError as e:
+            raise ScenarioError(f"cannot write {out_path}: {e.strerror}") from e
     else:
         sys.stdout.write(data)
 

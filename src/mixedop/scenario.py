@@ -9,6 +9,7 @@ human-writable.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -407,14 +408,32 @@ def _load_checks(data: dict, mixed: SplitMapping | None) -> list[Check]:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and resolve a scenario file; raises ScenarioError on any defect."""
+    """Parse and resolve a scenario file; raises ScenarioError on any defect.
+
+    Runs with the cyclic garbage collector paused, restored on every exit:
+    the decoded JSON tree is large and holds no reference cycles, so each
+    collection during the load would walk all of it and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(path) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ScenarioError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path}: not UTF-8 text ({e})") from e
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except RecursionError as e:
+        raise ScenarioError(f"{path}: invalid JSON (nested too deeply)") from e
+    except ValueError as e:  # a syntax error, or an integer literal beyond the digit limit
         raise ScenarioError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be an object")

@@ -1,5 +1,6 @@
 """Scenario loading, the CLI verbs, CSV format, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -32,6 +33,24 @@ def _exit_code(argv):
         return main(argv)
     except SystemExit as e:
         return e.code
+
+
+def _console(*argv, **env):
+    """The console verb in a fresh interpreter, ``env`` added to the
+    environment: what a user sees, numpy warnings and tracebacks included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "mixedop.cli", *argv], env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000  # beyond the recursion limit of json.loads
+
+
+def _deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(_DEEP)
+    return str(path)
 
 
 def _overflow_scenario(entry: float, kind: str):
@@ -132,6 +151,47 @@ class TestScenarioLoading:
         sc = load_scenario(_write(tmp_path, data))
         with pytest.raises(ScenarioError):
             sc.kernel_for(sc.checks[0])
+
+
+class TestCollectorPause:
+    """``load_scenario`` runs with the cyclic collector paused and hands
+    back the caller's state on every exit."""
+
+    def test_enabled_after_good_and_failed_loads(self, tmp_path):
+        data = _minimal_scenario()
+        del data["schema_version"]
+        assert gc.isenabled()
+        load_scenario(SCENARIOS / "scalar17.json")
+        assert gc.isenabled()
+        with pytest.raises(ScenarioError):
+            load_scenario(_write(tmp_path, data))
+        assert gc.isenabled()
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            load_scenario(_deep_nesting(tmp_path))
+        assert gc.isenabled()
+
+    def test_disabled_caller_stays_disabled(self, tmp_path):
+        gc.disable()
+        try:
+            load_scenario(SCENARIOS / "scalar17.json")
+            assert not gc.isenabled()
+            with pytest.raises(ScenarioError):
+                load_scenario(_deep_nesting(tmp_path))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_load_leaves_no_cyclic_garbage(self, tmp_path):
+        # the premise of the pause: a load's objects are all freed by
+        # reference counting, so pausing the collector defers nothing
+        from perfbench import gen
+
+        (audit,) = gen.generate("phi_audit", 0, tmp_path)
+        for path in [*sorted(SCENARIOS.glob("*.json")), audit.path]:
+            gc.collect()
+            sc = load_scenario(path)
+            del sc
+            assert gc.collect() == 0, path.name
 
 
 class TestRunVerb:
@@ -305,12 +365,7 @@ class TestRunVerb:
         data["families"]["V"]["fibers"] = {"s1": {"r": 2, "weights": [1e300]}, "s2": {"r": 2, "weights": [1.0]}}
         data["kernels"]["P"]["matrices"] = [["s1", "t1", [[0, -1e300, -1.2093813e-150]]], ["s2", "t1", [[0, 0, 1]]]]
         data["checks"] = [{"kind": "exact_norm", "exponents": [[2, 2]]}]
-        env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from mixedop.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run", _write(tmp_path, data)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _console("run", _write(tmp_path, data))
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == (
             "mixedop: error: c('t1') is not finite: the sum of lam B^T B over its fiber overflows\n"
@@ -465,12 +520,7 @@ class TestCheckFields:
         data = json.loads((SCENARIOS / "scalar17.json").read_text())
         data["checks"] = [{"kind": kind, "exponents": [[4, 2]], field: ["P"]}]
         out = tmp_path / "out.csv"
-        env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from mixedop.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run", _write(tmp_path, data), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _console("run", _write(tmp_path, data), "--out", str(out))
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr
         assert f"checks[0].{field}: expected a name string" in done.stderr
@@ -486,6 +536,46 @@ class TestCheckFields:
         assert huge["value"] != equal["value"]
         # kappa = 2 and mu_t = 1: the l2 aggregate of |P| = (1, 2)
         assert float(huge["value"]) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+
+def _one_error_line(done, part):
+    """Exit 1 with exactly one stderr line, an input error holding ``part``."""
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
+    assert done.stderr.startswith("mixedop: input error: ")
+    assert part in done.stderr
+
+
+class TestUndecodableInput:
+    """A file that does not decode to JSON is an input error naming it."""
+
+    @pytest.mark.parametrize("content, message", [
+        (_DEEP, "invalid JSON (nested too deeply)"),
+        (b'{"schema_version": 1, "id": "caf\xe9"}', "not UTF-8 text ("),
+        # an integer literal above the int-string digit limit (4,300 by
+        # default): json.loads raises a ValueError that is no JSONDecodeError
+        (b'{"schema_version": 1, "id": "x", "n": ' + b"7" * 5000 + b"}", "invalid JSON ("),
+    ], ids=["deep-nesting", "invalid-utf8", "digit-limit"])
+    def test_exits_1_with_one_line(self, tmp_path, content, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        _one_error_line(_console("run", str(path)), f"{path}: {message}")
+
+
+class TestUnwritableOutput:
+    """An --out or MIXEDOP_OUT that cannot be written is an input error
+    naming the path, not a traceback."""
+
+    def test_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        done = _console("run", str(SCENARIOS / "scalar17.json"), "--out", str(out))
+        _one_error_line(done, f"cannot write {out}: ")
+
+    def test_out_env_is_a_directory(self, tmp_path):
+        done = _console("run", str(SCENARIOS / "scalar17.json"), MIXEDOP_OUT=str(tmp_path))
+        _one_error_line(done, f"cannot write {tmp_path}: ")
+        assert done.stdout == ""
 
 
 class TestCheckShapes:
