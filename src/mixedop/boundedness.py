@@ -32,7 +32,7 @@ from .errors import (
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import check_exponent, lp_measure_norm, power_sums
+from .fibers import check_exponent, power_sums
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
@@ -42,7 +42,7 @@ from .kernels import (
     kappa,
     weakest_certificate,
 )
-from .measure import AtomMap, DensityFn, pushforward_volume_derivative
+from .measure import AtomMap, DensityFn
 from .rng import SECTION_TAG, substream
 
 EQUALITY_TOL = 1e-9
@@ -66,14 +66,14 @@ def _finite_pair(p, q) -> tuple[float, float, float]:
     return p, q, k
 
 
-def _scaled(values: np.ndarray, kernel: OperatorKernel, e: float) -> np.ndarray:
-    """values[t] * mu_t^e per atom of T, and 0 where the value is 0 (as on
-    an empty fiber) without evaluating mu_t^e, which overflows for a tiny
-    mu_t and would make 0 * inf = NaN."""
+def _atom_norm(values: np.ndarray, kernel: OperatorKernel, p: float, k: float) -> float:
+    """The ell^k sum of values[t] * mu_t^(-1/p) over the atoms of T (the max
+    for k = inf); a zero value, as on an empty fiber, adds 0 without the
+    power, which overflows for a tiny mu_t and would make 0 * inf = NaN."""
     nonzero = values != 0.0
-    out = np.zeros(values.size)
-    out[nonzero] = values[nonzero] * kernel.relation.target.weights[nonzero] ** e
-    return out
+    x = np.zeros(values.size)
+    x[nonzero] = values[nonzero] * kernel.relation.target.weights[nonzero] ** (-1.0 / p)
+    return float(power_sums(x, k))
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,12 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     ( sum_t mu_t ( sum_{s in F_t} nu_s ||P(s,t)||^q J(s,t) )^(kappa/q) )^(1/kappa),
     which on atoms reduces the inner sum to (1/mu_t) sum_s lam_st ||P||^q,
     0 on an empty fiber whatever mu_t; for p = q the outer aggregate is
-    the max over atoms.  Exact when every matrix norm is.
+    the max over atoms.  As 1 - kappa/q = -kappa/p, that is ``_atom_norm``
+    of (sum_s lam_st ||P||^q)^(1/q).  Exact when every matrix norm is.
     """
     p, q, k = _finite_pair(p, q)
-    T = kernel.relation.target
-    aggs = kernel._norm_sums(range(len(T.ids)), q)
-    inner = _scaled(np.array([a.value for a in aggs]), kernel, -1.0 / q)
-    value = lp_measure_norm(inner, T.weights, k)
+    aggs = kernel._norm_sums(range(len(kernel.relation.target.ids)), q)
+    value = _atom_norm(np.array([a.value for a in aggs]), kernel, p, k)
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
 
@@ -219,10 +218,9 @@ def criterion_uniform_bounds(
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} outside [{c:.12g}, {C:.12g}]"
             )
-    J = pushforward_volume_derivative(psi, rel.source, rel.target)
-    T = rel.target
-    vals = np.array([J[t] for t in T.ids]) ** (1.0 / q)
-    return UniformBoundsCriterion(lp_measure_norm(vals, T.weights, k), c, C)
+    # the general criterion with every ||P|| = 1: (sum_{s in F_t} lam_st)^(1/q) = nu(psi^-1 t)^(1/q)
+    fibers = kernel._fiber_sums(np.arange(len(rel.target.ids)), np.ones(len(rel.pairs)), q)
+    return UniformBoundsCriterion(_atom_norm(fibers, kernel, p, k), c, C)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +237,7 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     p, q, k = _finite_pair(p, q)
     T = kernel.relation.target
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
-    x = _scaled(np.array([e.value for e in effs]), kernel, -1.0 / p)
-    value = float(power_sums(x, k))
+    value = _atom_norm(np.array([e.value for e in effs]), kernel, p, k)
     return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
 

@@ -6,12 +6,12 @@ Verbs:
   phi-audit  additivity / monotonicity / derivative audit of the set function
 
 Exit codes: 0 when all invariant assertions hold, 1 on input errors
-(usage errors, undecodable scenario files, unwritable output and
-non-finite results included), 2 when a sandwich or equality assertion
-fails.  Output is CSV with a fixed column order;
-floats carry 17 significant digits, and identical inputs with the same
-seed produce byte-identical files (wall times are written as 0 unless
---timing is passed).
+(usage errors, undecodable scenario files, an unwritable --out, found
+before any check runs, a failed write to stdout and non-finite results
+included), 2 when a sandwich or equality assertion fails.  Output is
+CSV with a fixed column order; floats carry 17 significant digits, and
+identical inputs with the same seed produce byte-identical files (wall
+times are written as 0 unless --timing is passed).
 
 Flags may also be set through environment variables prefixed with the
 tool name: MIXEDOP_SEED, MIXEDOP_OUT, MIXEDOP_SAMPLES (run and sweep
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -118,7 +119,33 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         except OSError as e:
             raise ScenarioError(f"cannot write {out_path}: {e.strerror}") from e
     else:
-        sys.stdout.write(data)
+        try:
+            sys.stdout.write(data)
+            sys.stdout.flush()
+        except OSError as e:  # a full device or a closed pipe
+            # what stays buffered would raise again in the flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise MixedOpError(f"cannot write to stdout: {e.strerror}") from e
+
+
+def _check_writable(out_path: str | None) -> None:
+    """Refuse an output path that the write would fail on, with the
+    message it would give, before any check runs; the file is neither
+    created nor truncated."""
+    if not out_path:
+        return
+    path = Path(out_path)
+    if not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif path.is_dir():
+        code = errno.EISDIR
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ScenarioError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _reject_reason(p: float, q: float, alpha: float | None = None, beta: float | None = None) -> str | None:
@@ -230,6 +257,7 @@ def _report(
 ) -> int:
     """One timed CSV row per (check, exponent tuple); ``seed`` and
     ``samples`` override the checks' own when given."""
+    _check_writable(out_path)
     rows = []
     for check in checks:
         use_seed = seed if seed is not None else check.seed

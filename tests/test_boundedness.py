@@ -243,8 +243,9 @@ class TestFoldedCriteriaMatchTheirFormulas:
 
 def _huge_target_identity():
     """The identity graph of three source atoms of mass 1 onto three target
-    atoms of mass 1e308, scalar fibers, P = 1: the weighted criterion sums
-    overflow, while the exact norm is 3^(1/kappa) 1e-308^(1/p)."""
+    atoms of mass 1e308, scalar fibers, P = 1: a mu-weighted criterion sum
+    would overflow, while every criterion and the exact norm equal
+    3^(1/kappa) 1e-308^(1/p)."""
     S = FiniteMeasureSpace({f"s{i}": 1.0 for i in range(3)})
     T = FiniteMeasureSpace({f"t{i}": 1e308 for i in range(3)})
     psi = AtomMap(S, T, {f"s{i}": f"t{i}" for i in range(3)})
@@ -254,19 +255,27 @@ def _huge_target_identity():
 
 
 class TestNonFiniteCriteria:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the criteria share the decoupled norm's aggregate of value * mu_t^(-1/p),
+    # so they raise only where the value itself is beyond the float range
     @pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
     @pytest.mark.parametrize("which", ["uniform_t", "uniform_bounds", "graph", "general"])
     def test_overflow_raises(self, pq, which):
         ker, psi, rho = _huge_target_identity()
-        call = {
+        value = {
             "uniform_t": lambda: criterion_uniform_t(ker, rho, *pq),
-            "uniform_bounds": lambda: criterion_uniform_bounds(ker, psi, 1.0, 1.0, *pq),
-            "graph": lambda: criterion_graph_result(ker, psi, *pq),
-            "general": lambda: criterion_general_result(ker, *pq),
-        }[which]
+            "uniform_bounds": lambda: criterion_uniform_bounds(ker, psi, 1.0, 1.0, *pq).value,
+            "graph": lambda: criterion_graph_result(ker, psi, *pq).value,
+            "general": lambda: criterion_general_result(ker, *pq).value,
+        }[which]()
+        expected = {(2, 1): 1.7320508075688772e-154, (3, 2): 2.5873402367724796e-103}[pq]
+        assert value == exact_norm_decoupled(ker, *pq).value == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("compute", [criterion_general_result, exact_norm_decoupled])
+    def test_value_beyond_float_range_raises(self, compute):
+        # mu_t1 = 1e-320 and p = q = 1: the true value 1e320 is beyond the float range
         with pytest.raises(NonFiniteResultError):
-            call()
+            compute(_tiny_zero_atom_instance(1.0), 1, 1)
 
     def test_exact_norm_stays_finite(self):
         ker, _, _ = _huge_target_identity()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mixedop
-from mixedop import MixedOpError, ScenarioError, load_scenario
+from mixedop import MixedOpError, ScenarioError, cli, load_scenario
 from mixedop.cli import COLUMNS, STATUS_VIOLATION, _finish, _row, main, run
 from mixedop.generators import scalar17_instance
 from mixedop.kernels import ORACLE_MAX_ENTRIES
@@ -35,12 +35,13 @@ def _exit_code(argv):
         return e.code
 
 
-def _console(*argv, **env):
+def _console(*argv, stdout=subprocess.PIPE, **env):
     """The console verb in a fresh interpreter, ``env`` added to the
     environment: what a user sees, numpy warnings and tracebacks included."""
     env = dict(os.environ, PYTHONPATH=str(Path(mixedop.__file__).resolve().parents[1]), **env)
     return subprocess.run(
-        [sys.executable, "-m", "mixedop.cli", *argv], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "mixedop.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
 
 
@@ -576,6 +577,108 @@ class TestUnwritableOutput:
         done = _console("run", str(SCENARIOS / "scalar17.json"), MIXEDOP_OUT=str(tmp_path))
         _one_error_line(done, f"cannot write {tmp_path}: ")
         assert done.stdout == ""
+
+    @pytest.fixture
+    def no_checks(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("a check ran before the output path was checked")
+        monkeypatch.setattr(cli, "_execute_check", fail)
+
+    @pytest.mark.parametrize("verb", [
+        ["run"], ["sweep", "--p-grid", "2", "--q-grid", "1"], ["phi-audit", "--partitions", "1"],
+    ], ids=["run", "sweep", "phi-audit"])
+    @pytest.mark.parametrize("out, message", [
+        ("missing/x.csv", "No such file or directory"),
+        ("scenario.json/x.csv", "Not a directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-parent", "file-parent", "directory"])
+    def test_found_before_any_check(self, tmp_path, capsys, no_checks, verb, out, message):
+        path = _write(tmp_path, json.loads((SCENARIOS / "scalar17.json").read_text()))
+        out = str(tmp_path / out)
+        assert main([verb[0], path, "--out", out, *verb[1:]]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: cannot write {out}: {message}\n"
+
+    def test_out_env_found_before_any_check(self, tmp_path, capsys, monkeypatch, no_checks):
+        monkeypatch.setenv("MIXEDOP_OUT", str(tmp_path / "missing" / "x.csv"))
+        assert main(["run", str(SCENARIOS / "scalar17.json")]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_failed_run_neither_creates_nor_truncates(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise MixedOpError("no result")
+        monkeypatch.setattr(cli, "_execute_check", fail)
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for out in (fresh, kept):
+            assert main(["run", str(SCENARIOS / "scalar17.json"), "--out", str(out)]) == 1
+        assert not fresh.exists()
+        assert kept.read_text() == "old\n"
+
+
+def _one_stdout_error_line(done, message):
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"mixedop: error: cannot write to stdout: {message}\n"
+
+
+class TestStdoutWriteErrors:
+    """A stdout that fails the write is an error line, not a traceback, at
+    the write or in the interpreter's flush at exit."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            done = _console("run", str(SCENARIOS / "scalar17.json"), stdout=full)
+        _one_stdout_error_line(done, "No space left on device")
+
+    def test_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts, so its write always fails
+        try:
+            done = _console("run", str(SCENARIOS / "scalar17.json"), stdout=write_end)
+        finally:
+            os.close(write_end)
+        _one_stdout_error_line(done, "Broken pipe")
+
+
+def _identity_onto_huge_masses():
+    """The identity graph of three atoms of mass 1 onto three atoms of mass
+    1e308, scalar l2 fibers, P = 1."""
+    data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+    S, T = [f"s{i}" for i in range(3)], [f"t{i}" for i in range(3)]
+    data["spaces"] = {"S": dict.fromkeys(S, 1.0), "T": dict.fromkeys(T, 1e308)}
+    data["relations"]["graph"]["pairs"] = [[s, t, 1.0] for s, t in zip(S, T)]
+    data["families"]["W"]["fibers"] = {t: {"r": 2, "weights": [1.0]} for t in T}
+    data["families"]["V"]["fibers"] = {s: {"r": 2, "weights": [1.0]} for s in S}
+    for key in ("mappings", "densities"):
+        del data[key]
+    return data
+
+
+def _graph_swap_onto_tiny_masses():
+    data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+    data["spaces"]["T"] = {"t1": 1e-308, "t2": 1e-300}
+    return data
+
+
+class TestExtremeTargetMasses:
+    """The criterion aggregates value * mu_t^(-1/p) as the decoupled norm
+    does, so target masses whose mu-weighted sums would overflow give the
+    finite norm, bit for bit."""
+
+    @pytest.mark.parametrize("instance, pq, value", [
+        (_identity_onto_huge_masses, [2, 1], "1.7320508075688772e-154"),
+        (_identity_onto_huge_masses, [3, 2], "2.5873402367724796e-103"),
+        (_graph_swap_onto_tiny_masses, [2, 1], "4.00000000125e+154"),
+        (_graph_swap_onto_tiny_masses, [3, 2], "9.2831776672254357e+102"),
+    ], ids=["huge-2-1", "huge-3-2", "tiny-2-1", "tiny-3-2"])
+    def test_criterion_equals_exact_norm(self, tmp_path, instance, pq, value):
+        data = instance()
+        data["checks"] = [{"kind": k, "exponents": [pq]} for k in ("criterion", "exact_norm", "sandwich")]
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 0
+        criterion, exact, sandwich = (dict(zip(COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:])
+        assert (criterion["value"], exact["value"], sandwich["lower"], sandwich["upper"]) == (value,) * 4
+        assert sandwich["equality"] == "true"
 
 
 class TestCheckShapes:
