@@ -22,7 +22,7 @@ ker = scalar17_instance()
 for p, q in [(4, 2), (2, 2), (3, 1.5)]:
     rep = sandwich_report(ker, p, q, oracle_samples=1000, seed=7)
     print(f"p={p}, q={q}, kappa={kappa(p, q)}: "
-          f"oracle={rep.oracle:.12f} <= lower={rep.lower:.12f} <= upper={rep.upper:.12f} "
+          f"oracle={rep.oracle:.12f} <= lower={rep.lower.value:.12f} <= upper={rep.upper.value:.12f} "
           f"equality={rep.equality}")
 
 print("\n17^(1/4) =", 17 ** 0.25)
@@ -37,7 +37,7 @@ print("max ||Mf||/||f|| over 200 random sections:", ratios.max(),
 # direction.  Two orthogonal projections make this extreme.
 gap = projection_gap_instance()
 rep = sandwich_report(gap, 2, 2, oracle_samples=2000, seed=2)
-print("\nprojection gap: lower =", rep.lower, " upper =", rep.upper,
+print("\nprojection gap: lower =", rep.lower.value, " upper =", rep.upper.value,
       " equality =", rep.equality)
 print("true norm:", exact_norm_decoupled(gap, 2, 2).value,
       "  sampled:", oracle_norm_sampling(gap, 2, 2, 2000, seed=3))

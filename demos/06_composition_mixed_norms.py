@@ -27,7 +27,7 @@ J_psi, J_u = slice_volume_derivatives(phi)
 print("\nouter volume derivative:", {t: J_psi[t] for t in phi.codomain.outer.ids})
 
 for (p, q, alpha, beta) in [(2, 1, 1, 2), (3, 2, 2, 3), (2, 2, 2, 2)]:
-    crit = criterion_mixed_composition(phi, p, q, alpha, beta)
+    crit = criterion_mixed_composition(phi, p, q, alpha, beta).value
     inst, psi_used = direct_integral_instance(phi, alpha, beta)
     brute = exact_norm_decoupled(inst, p, q)
     route = criterion_graph_result(inst, psi_used, p, q).value

@@ -19,7 +19,7 @@ print("checks:", [(c.kind, c.exponents) for c in sc.checks])
 
 ker = sc.kernels["P"]
 rep = sandwich_report(ker, 4, 2, oracle_samples=500, seed=7)
-print("\nprogrammatic sandwich:", rep.lower, rep.upper, rep.equality)
+print("\nprogrammatic sandwich:", rep.lower.value, rep.upper.value, rep.equality)
 
 # The CLI writes CSV to stdout (or --out).  Exit code 0: all assertions
 # hold; 1: input error; 2: a sandwich/equality assertion failed.

@@ -12,8 +12,6 @@ oracles.
 
 from .boundedness import (
     BoundednessReport,
-    PhiValue,
-    UniformBoundsCriterion,
     criterion_general_result,
     criterion_graph_result,
     criterion_uniform_bounds,

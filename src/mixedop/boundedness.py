@@ -77,51 +77,14 @@ def _atom_norm(values: np.ndarray, kernel: OperatorKernel, p: float, k: float) -
 
 
 @dataclass(frozen=True)
-class PhiValue:
-    """Value of the best-constant set function on a subset of T."""
-
-    subset: frozenset
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFiniteResultError(f"set function value {self.value} is not finite (overflow in the arithmetic)")
-
-
-@dataclass(frozen=True)
 class BoundednessReport:
-    """Lower (decoupled norm), upper (criterion), and sampled oracle values."""
+    """Lower (decoupled norm) and upper (criterion), each with its
+    certificate, the sampled oracle value, and whether the two sides meet."""
 
-    p: float
-    q: float
-    kappa: float
-    lower: float
-    upper: float
+    lower: NormResult
+    upper: NormResult
     oracle: float
     equality: bool
-    lower_certificate: str
-    upper_certificate: str
-
-
-@dataclass(frozen=True)
-class UniformBoundsCriterion:
-    """Criterion value with the uniform kernel-norm multipliers c, C."""
-
-    value: float
-    lower_mult: float
-    upper_mult: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFiniteResultError(f"criterion value {self.value} is not finite (overflow in the arithmetic)")
-
-    @property
-    def lower(self) -> float:
-        return self.lower_mult * self.value
-
-    @property
-    def upper(self) -> float:
-        return self.upper_mult * self.value
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +106,13 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
 
-def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> float:
+def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> NormResult:
     """Criterion when the kernel norm depends on t alone: ||rho J^(1/q)||_{L^kappa(T)}.
 
     The hypothesis ||P(s, t)|| = rho(t) is verified across every fiber
     F_t within HYPOTHESIS_TOL.  Under it the general criterion's inner
-    term is rho(t)^q lam_t / mu_t = rho(t)^q J(t), J the marginal density.
+    term is rho(t)^q lam_t / mu_t = rho(t)^q J(t), J the marginal density,
+    so the result is the general criterion's, certificate included.
     """
     _finite_pair(p, q)
     T = kernel.relation.target
@@ -161,7 +125,7 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> float:
             raise HypothesisViolationError(
                 f"||P({s!r}, {t!r})|| = {got:.12g} differs from rho({t!r}) = {rho[t]:.12g}"
             )
-    return criterion_general_result(kernel, p, q).value
+    return criterion_general_result(kernel, p, q)
 
 
 def _require_graph(kernel: OperatorKernel, psi: AtomMap) -> None:
@@ -192,13 +156,14 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
 
 def criterion_uniform_bounds(
     kernel: OperatorKernel, psi: AtomMap, c: float, C: float, p, q
-) -> UniformBoundsCriterion:
+) -> NormResult:
     """Criterion under two-sided kernel-norm bounds c <= ||P|| <= C.
 
     Works for non-injective psi.  The relation must be the graph of psi
     carrying the measure nu of the source; the returned value is
-    || J_{psi^-1}^(1/q) ||_{L^kappa(T)} and the exported contract is
-    c * value <= ||M_psi|| <= C * value.
+    || J_{psi^-1}^(1/q) ||_{L^kappa(T)}, and the contract is
+    c * value <= ||M_psi|| <= C * value.  The value reads no matrix
+    norm (those only check the hypothesis), so it is exact.
     """
     p, q, k = _finite_pair(p, q)
     if not (0 < c <= C):
@@ -220,7 +185,7 @@ def criterion_uniform_bounds(
             )
     # the general criterion with every ||P|| = 1: (sum_{s in F_t} lam_st)^(1/q) = nu(psi^-1 t)^(1/q)
     fibers = kernel._fiber_sums(np.arange(len(rel.target.ids)), np.ones(len(rel.pairs)), q)
-    return UniformBoundsCriterion(_atom_norm(fibers, kernel, p, k), c, C)
+    return NormResult(_atom_norm(fibers, kernel, p, k), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +206,26 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
 
-def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> np.ndarray:
+def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> tuple[np.ndarray, str]:
     """Phi({t}) = (c(t) mu_t^(-1/p))^kappa for each atom of ``ids``, in
     that order: the one definition every set-function value and
-    derivative is summed from."""
+    derivative is summed from; and the weakest certificate of those c(t)."""
     T = kernel.relation.target
     terms = np.zeros(len(ids))
+    certificate = EXACT
     for i, t in enumerate(ids):
-        if not kernel.relation.fiber(t).size or (c := fiber_effectiveness(kernel, t, q).value) == 0.0:
-            continue  # 0, whatever mu_t
+        eff = fiber_effectiveness(kernel, t, q)
+        if eff.certificate != EXACT:
+            certificate = eff.certificate
+        if (c := eff.value) == 0.0:
+            continue  # 0, whatever mu_t, as on an empty fiber
         try:
             terms[i] = (c * T.weight(t) ** (-1.0 / p)) ** k
         except OverflowError:
             raise NonFiniteResultError(
                 f"set function term of atom {t!r} is not finite (overflow in the arithmetic)"
             ) from None
-    return terms
+    return terms, certificate
 
 
 def _ordered_sum(x: np.ndarray) -> float:
@@ -265,12 +234,14 @@ def _ordered_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
-def phi_value(kernel: OperatorKernel, subset, p, q) -> PhiValue:
+def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
     """The set function Phi(A) = ||M_F restricted to A||^kappa.
 
     Additive over disjoint subsets by construction (the decoupled norm
     is an atom-wise power sum, added here in the canonical atom order);
-    undefined for p = q, where kappa is infinite.
+    undefined for p = q, where kappa is infinite.  The certificate is
+    the weakest of the c(t) over A, as ``exact_norm_decoupled``'s is
+    over T.
     """
     p, q, k = _finite_pair(p, q)
     if math.isinf(k):
@@ -280,7 +251,8 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> PhiValue:
     unknown = [t for t in subset if t not in T]
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
-    return PhiValue(subset, _ordered_sum(_phi_terms(kernel, sorted(subset), p, q, k)))
+    terms, certificate = _phi_terms(kernel, sorted(subset), p, q, k)
+    return NormResult(_ordered_sum(terms), certificate)
 
 
 def _derivatives(ids, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -318,8 +290,10 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
     if math.isinf(k):
         raise UnsupportedExponentsError("the set function needs p > q (finite kappa)")
     T = kernel.relation.target
-    terms = _phi_terms(kernel, T.ids, p, q, k)
-    phi_total = PhiValue(frozenset(T.ids), _ordered_sum(terms)).value
+    terms, _ = _phi_terms(kernel, T.ids, p, q, k)
+    phi_total = _ordered_sum(terms)
+    if not math.isfinite(phi_total):
+        raise NonFiniteResultError(f"set function value {phi_total} is not finite (overflow in the arithmetic)")
     denom = phi_total if phi_total > 0 else 1.0
     moments = _derivatives(T.ids, terms, T.weights) * T.weights  # phi_derivative(t) * mu_t
     worst = 0.0
@@ -422,7 +396,7 @@ def sandwich_report(
     multi-dimensional fibers with incompatible maximizing directions it
     is legitimately false.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, _ = _finite_pair(p, q)
     lower = exact_norm_decoupled(kernel, p, q)
     upper = criterion_general_result(kernel, p, q)
     oracle = oracle_norm_sampling(kernel, p, q, oracle_samples, seed)
@@ -437,14 +411,4 @@ def sandwich_report(
             f"decoupled norm {lower.value:.15g} exceeds criterion {upper.value:.15g}"
         )
     equality = abs(upper.value - lower.value) <= EQUALITY_TOL * max(upper.value, 1.0)
-    return BoundednessReport(
-        p=p,
-        q=q,
-        kappa=k,
-        lower=lower.value,
-        upper=upper.value,
-        oracle=oracle,
-        equality=equality,
-        lower_certificate=lower.certificate,
-        upper_certificate=upper.certificate,
-    )
+    return BoundednessReport(lower, upper, oracle, equality)

@@ -106,6 +106,21 @@ def _row(**kw) -> dict:
     return row
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text`` to stdout: the one route of every CSV
+    and help text that goes there.  A full device or a closed pipe
+    raises MixedOpError, so the caller exits 1 with one line."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        # what stays buffered would raise again in the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise MixedOpError(f"cannot write to stdout: {e.strerror}") from e
+
+
 def _write_rows(rows: list[dict], out_path: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -119,15 +134,7 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         except OSError as e:
             raise ScenarioError(f"cannot write {out_path}: {e.strerror}") from e
     else:
-        try:
-            sys.stdout.write(data)
-            sys.stdout.flush()
-        except OSError as e:  # a full device or a closed pipe
-            # what stays buffered would raise again in the flush at exit
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise MixedOpError(f"cannot write to stdout: {e.strerror}") from e
+        _write_stdout(data)
 
 
 def _check_writable(out_path: str | None) -> None:
@@ -196,12 +203,12 @@ def _execute_check(
             row.update(status=STATUS_VIOLATION, reason=str(e))
             return row
         row.update(
-            lower=rep.lower,
-            upper=rep.upper,
+            lower=rep.lower.value,
+            upper=rep.upper.value,
             oracle=rep.oracle,
             equality=rep.equality,
-            lower_certificate=rep.lower_certificate,
-            upper_certificate=rep.upper_certificate,
+            lower_certificate=rep.lower.certificate,
+            upper_certificate=rep.upper.certificate,
         )
     elif kind == "phi_audit":
         worst = phi_audit_violation(sc.kernel_for(check), p, q, check.partitions, seed)
@@ -209,7 +216,7 @@ def _execute_check(
         if not (worst <= tolerance):
             row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
     elif kind == "mixedcomp":  # the loader checked the block and the 4-tuples
-        value = criterion_mixed_composition(sc.mixed, p, q, alpha, beta)
+        value = criterion_mixed_composition(sc.mixed, p, q, alpha, beta).value
         instance, _ = direct_integral_instance(sc.mixed, alpha, beta)
         brute = exact_norm_decoupled(instance, p, q)
         equal = abs(value - brute.value) <= MIXEDCOMP_TOL * max(value, 1.0)
@@ -318,7 +325,14 @@ def phi_audit(
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on a usage error: argparse's own code 2 is
-    the CLI's code for a failed assertion."""
+    the CLI's code for a failed assertion.  Help goes to stdout through
+    ``_write_stdout``; argparse's own write would swallow its failure."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -413,11 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     for sp in (sp_run, sp_audit):
         sp.add_argument("--tolerance", type=_tolerance, default=None, help="assertion tolerance")
 
-    args = parser.parse_args(argv)
-
     # every non-finite value is refused by an explicit check with its own
     # message, so numpy's floating-point warnings would only repeat it
     try:
+        args = parser.parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             seed = _setting(args.seed, "SEED", _integer(0))
             samples = None if args.verb == "phi-audit" else _setting(args.samples, "SAMPLES", _integer(1))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteResultError, NotInjectiveError, SliceRangeError, UnknownAtomError
 from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm
-from .kernels import OperatorKernel, kappa
+from .kernels import EXACT, NormResult, OperatorKernel, kappa
 from .measure import (
     AtomMap,
     DensityFn,
@@ -232,7 +232,7 @@ def slice_volume_derivatives(phi: SplitMapping) -> tuple[DensityFn, DensityFn]:
     return J_psi, DensityFn(J_u)
 
 
-def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> float:
+def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> NormResult:
     """Boundedness criterion for C_phi from L^{p,beta} to L^{q,alpha}.
 
     Instantiates the reduction through per-slice composition operators:
@@ -241,6 +241,8 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> float:
     outer aggregation is the graph criterion for psi, i.e. the
     L^{kappa}(T) norm of rho(t) J_psi^(1/q)(t).  Equivalently, the
     mixed (kappa_outer, kappa_inner) norm of the product density.
+    Exact: the value is read off the volume derivatives, with no matrix
+    norm.
     """
     k_out = kappa(p, q)
     k_in = kappa(beta, alpha)
@@ -253,7 +255,7 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> float:
     value = lp_measure_norm(vals, mu.weights, k_out)
     if not math.isfinite(value):
         raise NonFiniteResultError(f"mixed composition criterion {value} is not finite (overflow in the arithmetic)")
-    return value
+    return NormResult(value, EXACT)
 
 
 def mixed_product_density_norm(phi: SplitMapping, p, q, alpha, beta) -> float:

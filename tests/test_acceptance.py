@@ -107,12 +107,12 @@ def test_02_criterion_dominates_random_sections():
 def test_03_necessity_gap_exhibit():
     ker = projection_gap_instance()
     rep = sandwich_report(ker, 2, 2, 2000, seed=0)
-    assert abs(rep.lower - 1.0) <= 1e-6
-    assert abs(rep.upper - math.sqrt(2.0)) <= 1e-12
+    assert abs(rep.lower.value - 1.0) <= 1e-6
+    assert abs(rep.upper.value - math.sqrt(2.0)) <= 1e-12
     assert rep.equality is False
     _report(
         "3 necessity gap exhibit",
-        f"lower {rep.lower:.12f}, upper {rep.upper:.12f}, equality {rep.equality}",
+        f"lower {rep.lower.value:.12f}, upper {rep.upper.value:.12f}, equality {rep.equality}",
     )
 
 
@@ -212,8 +212,8 @@ def test_07_two_sided_bounds_sandwich():
         res = criterion_uniform_bounds(ker, psi, c, C, p, q)
         brute = exact_norm_decoupled(ker, p, q)
         assert brute.certificate == EXACT
-        assert res.lower <= brute.value + 1e-9 * max(brute.value, 1.0)
-        assert brute.value <= res.upper + 1e-9 * max(brute.value, 1.0)
+        assert c * res.value <= brute.value + 1e-9 * max(brute.value, 1.0)
+        assert brute.value <= C * res.value + 1e-9 * max(brute.value, 1.0)
 
     # the two-to-one unit instance: norm sqrt(2) within 1e-12
     S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
@@ -249,7 +249,7 @@ def test_08_mixed_composition_criterion():
     for seed in range(50):
         phi = random_split_mapping(seed, max_outer=4, max_slice=4)
         for (p, q, alpha, beta) in MIXEDCOMP_GRID:
-            crit = criterion_mixed_composition(phi, p, q, alpha, beta)
+            crit = criterion_mixed_composition(phi, p, q, alpha, beta).value
             inst, psi_used = direct_integral_instance(phi, alpha, beta)
             brute = exact_norm_decoupled(inst, p, q).value
             route = criterion_graph_result(inst, psi_used, p, q).value

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mixedop import (
     EXACT,
-    INF,
+    LOWER_BOUND,
     NonFiniteResultError,
     AtomMap,
     DensityFn,
@@ -93,16 +93,16 @@ class TestCriterionUniformT:
         )
         rho = DensityFn({t: 1.0 for t in T.ids})
         for p, q in [(2, 2), (4, 2), (3, 1.5)]:
-            assert criterion_uniform_t(ker, rho, p, q) == pytest.approx(1.0, rel=1e-15)
+            assert criterion_uniform_t(ker, rho, p, q).value == pytest.approx(1.0, rel=1e-15)
         # p = q is mass-independent: ess-sup of 1 is 1
         big, _ = identity_instance(4)
         rho_big = DensityFn({t: 1.0 for t in big.relation.target.ids})
-        assert criterion_uniform_t(big, rho_big, 2, 2) == pytest.approx(1.0, rel=1e-15)
+        assert criterion_uniform_t(big, rho_big, 2, 2).value == pytest.approx(1.0, rel=1e-15)
 
     def test_agrees_with_general(self):
         ker = scalar17_instance()
         rho = DensityFn({"t1": 1.0, "t2": 2.0})
-        got = criterion_uniform_t(ker, rho, 4, 2)
+        got = criterion_uniform_t(ker, rho, 4, 2).value
         assert got == pytest.approx(criterion_general_result(ker, 4, 2).value, rel=1e-12)
         assert got == pytest.approx(ROOT17, rel=1e-12)
 
@@ -162,11 +162,12 @@ class TestCriterionUniformBounds:
 
     def test_two_to_one_sqrt2(self):
         ker, psi = self._two_to_one()
-        res = criterion_uniform_bounds(ker, psi, 1.0, 1.0, 2, 2)
+        c, C = 1.0, 1.0
+        res = criterion_uniform_bounds(ker, psi, c, C, 2, 2)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
         true_norm = exact_norm_decoupled(ker, 2, 2).value
         assert true_norm == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert res.lower <= true_norm <= res.upper
+        assert c * res.value <= true_norm <= C * res.value
 
     def test_identity_value_one(self):
         ker, psi = identity_instance(3)
@@ -177,6 +178,19 @@ class TestCriterionUniformBounds:
         ker, psi = self._two_to_one(values=(3.0, 1.0))
         with pytest.raises(HypothesisViolationError):
             criterion_uniform_bounds(ker, psi, 1.0, 2.0, 2, 2)
+
+    def test_exact_where_the_matrix_norms_are_not(self):
+        # the value reads only nu(psi^-1 t) and mu_t; ascent norms only check c <= ||P|| <= C
+        weak = 0
+        for seed in range(10):
+            ker, psi = random_graph_instance(seed, max_atoms=8, max_dim=3, injective=False)
+            norms = [ker.matrix_norm(s, t) for (s, t) in ker.pairs]
+            weak += any(n.certificate == LOWER_BOUND for n in norms)
+            values = [n.value for n in norms]
+            for p, q in [(2, 2), (3, 2), (4, 1.5)]:
+                res = criterion_uniform_bounds(ker, psi, min(values), max(values), p, q)
+                assert res.certificate == EXACT
+        assert weak > 0
 
 
 FOLDED_PQ = [(2, 2), (3, 2), (4, 1.5), (2, 1), (1.5, 1.5), (7.3, 3)]
@@ -238,7 +252,22 @@ class TestFoldedCriteriaMatchTheirFormulas:
         ker, rho = _rho_instance(seed)
         for p, q in FOLDED_PQ:
             ref = _uniform_t_reference(ker, rho, p, q)
-            assert abs(criterion_uniform_t(ker, rho, p, q) - ref) <= 1e-14 * ref
+            assert abs(criterion_uniform_t(ker, rho, p, q).value - ref) <= 1e-14 * ref
+
+
+def test_uniform_t_carries_the_general_certificate():
+    # kernels rescaled to ||P(s, t)|| = rho(t) on fibers whose norms need the ascent
+    weak = 0
+    for seed in range(10):
+        ker = random_instance(seed, max_atoms=6, max_dim=3, exponents=(1.5, 3.0))
+        rho = {t: 1.0 + i for i, t in enumerate(ker.relation.target.ids)}
+        matrices = {(s, t): ker.matrix(s, t) * (rho[t] / ker.matrix_norm(s, t).value) for (s, t) in ker.pairs}
+        ker = OperatorKernel(ker.relation, ker.domain_family, ker.codomain_family, matrices)
+        for p, q in [(2, 2), (3, 2)]:
+            got = criterion_uniform_t(ker, DensityFn(rho), p, q)
+            assert got == criterion_general_result(ker, p, q)
+            weak += got.certificate == LOWER_BOUND
+    assert weak > 0
 
 
 def _huge_target_identity():
@@ -262,7 +291,7 @@ class TestNonFiniteCriteria:
     def test_overflow_raises(self, pq, which):
         ker, psi, rho = _huge_target_identity()
         value = {
-            "uniform_t": lambda: criterion_uniform_t(ker, rho, *pq),
+            "uniform_t": lambda: criterion_uniform_t(ker, rho, *pq).value,
             "uniform_bounds": lambda: criterion_uniform_bounds(ker, psi, 1.0, 1.0, *pq).value,
             "graph": lambda: criterion_graph_result(ker, psi, *pq).value,
             "general": lambda: criterion_general_result(ker, *pq).value,
@@ -558,6 +587,18 @@ def _scaled_mu(ker, c: float):
     return OperatorKernel(scaled, W, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), scalar=st.booleans(), pq=st.sampled_from(PQ_ABOVE))
+def test_phi_of_T_is_the_decoupled_norm_to_kappa(seed, scalar, pq):
+    # same value and same certificate: Phi(T) = ||M_F||^kappa, both from the c(t)
+    ker = _phi_instance(seed, scalar)
+    p, q = pq
+    phi = phi_value(ker, ker.relation.target.ids, p, q)
+    norm = exact_norm_decoupled(ker, p, q)
+    assert phi.certificate == norm.certificate
+    assert phi.value ** (1.0 / kappa(p, q)) == pytest.approx(norm.value, rel=1e-12, abs=0.0)
+
+
 class TestPhiMetamorphic:
     """Scaling laws of Phi on exact-certificate (scalar-fiber) instances."""
 
@@ -821,16 +862,14 @@ class TestSandwichReport:
     def test_scalar_equality(self):
         rep = sandwich_report(scalar17_instance(), 4, 2, 100, seed=1)
         assert rep.equality
-        assert rep.lower == pytest.approx(ROOT17, rel=1e-12)
-        assert rep.upper == pytest.approx(ROOT17, rel=1e-12)
-        assert rep.kappa == 4.0
+        assert rep.lower.value == pytest.approx(ROOT17, rel=1e-12)
+        assert rep.upper.value == pytest.approx(ROOT17, rel=1e-12)
 
     def test_projection_gap_reports_gap(self):
         rep = sandwich_report(projection_gap_instance(), 2, 2, 500, seed=2)
         assert not rep.equality
-        assert rep.lower == pytest.approx(1.0, abs=1e-6)
-        assert rep.upper == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert rep.kappa == INF
+        assert rep.lower.value == pytest.approx(1.0, abs=1e-6)
+        assert rep.upper.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_graph_instances_have_equality(self):
         for seed in range(10):
@@ -864,14 +903,14 @@ class TestSandwichReport:
             fam2 = lambda sp: FiberFamily(sp, {i: NormSpec(2, [1.0, 1.0]) for i in sp.ids})
             ker = OperatorKernel(rel, fam2(T), fam2(S), mats)
             rep = sandwich_report(ker, 4, 2, 100, seed=trial)
-            assert rep.equality, (trial, rep.lower, rep.upper)
+            assert rep.equality, (trial, rep.lower.value, rep.upper.value)
 
     def test_homogeneity(self):
         ker = random_instance(7, max_atoms=5, max_dim=3)
         rep1 = sandwich_report(ker, 4, 2, 100, seed=3)
         rep2 = sandwich_report(ker.scaled(2.5), 4, 2, 100, seed=3)
-        assert rep2.lower == pytest.approx(2.5 * rep1.lower, rel=1e-12)
-        assert rep2.upper == pytest.approx(2.5 * rep1.upper, rel=1e-12)
+        assert rep2.lower.value == pytest.approx(2.5 * rep1.lower.value, rel=1e-12)
+        assert rep2.upper.value == pytest.approx(2.5 * rep1.upper.value, rel=1e-12)
         assert rep2.oracle == pytest.approx(2.5 * rep1.oracle, rel=1e-12)
 
     def test_empty_relation_degenerate(self):
@@ -880,5 +919,5 @@ class TestSandwichReport:
         rel = WeightedRelation(S, T, [])
         ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {})
         rep = sandwich_report(ker, 4, 2, 10, seed=0)
-        assert rep.lower == rep.upper == rep.oracle == 0.0
+        assert rep.lower.value == rep.upper.value == rep.oracle == 0.0
         assert rep.equality

@@ -639,6 +639,30 @@ class TestStdoutWriteErrors:
             os.close(write_end)
         _one_stdout_error_line(done, "Broken pipe")
 
+    # argparse writes the help itself and swallows a failed write
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_to_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            done = _console(*argv, stdout=full)
+        _one_stdout_error_line(done, "No space left on device")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_to_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _console(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        _one_stdout_error_line(done, "Broken pipe")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_that_is_written_exits_0(self, argv):
+        done = _console(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith(" ".join(["usage:", "mixedop", *argv[:-1]]))
+
 
 def _identity_onto_huge_masses():
     """The identity graph of three atoms of mass 1 onto three atoms of mass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mixedop import (
+    EXACT,
     FiniteMeasureSpace,
     MixedDomain,
     NotInjectiveError,
@@ -200,7 +201,7 @@ class TestSliceVolumeDerivatives:
 class TestCriterion:
     def test_identity_is_one(self):
         phi = _identity_mapping()
-        assert criterion_mixed_composition(phi, 2, 2, 2, 2) == pytest.approx(1.0, rel=1e-15)
+        assert criterion_mixed_composition(phi, 2, 2, 2, 2).value == pytest.approx(1.0, rel=1e-15)
 
     def test_single_slice_two_to_one(self):
         # alpha=1, beta=2: the criterion equals the per-slice norm directly
@@ -211,7 +212,7 @@ class TestCriterion:
         dom = MixedDomain(S, X, [("s1", "x1"), ("s1", "x2")])
         cod = MixedDomain(T, Y, [("t1", "y1")])
         phi = SplitMapping(dom, cod, {"s1": "t1"}, {"s1": {"x1": "y1", "x2": "y1"}})
-        got = criterion_mixed_composition(phi, 2, 2, 1, 2)
+        got = criterion_mixed_composition(phi, 2, 2, 1, 2).value
         # per-slice value computed directly: ||J_u^(1/alpha)||_{L^2(slice)}
         _, J_u = slice_volume_derivatives(phi)
         expected = (Y.weight("y1") * J_u[("t1", "y1")] ** 2.0) ** 0.5
@@ -225,14 +226,15 @@ class TestCriterion:
             phi = random_split_mapping(seed)
             for (p, q, a, b) in EXPONENT_GRID:
                 got = criterion_mixed_composition(phi, p, q, a, b)
+                assert got.certificate == EXACT  # read off the volume derivatives, no matrix norm
                 direct = mixed_product_density_norm(phi, p, q, a, b)
-                assert got == pytest.approx(direct, rel=1e-12, abs=1e-300)
+                assert got.value == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
     def test_matches_operator_norm_and_graph_route(self):
         for seed in range(15):
             phi = random_split_mapping(seed, max_outer=4, max_slice=4)
             for (p, q, a, b) in EXPONENT_GRID:
-                crit = criterion_mixed_composition(phi, p, q, a, b)
+                crit = criterion_mixed_composition(phi, p, q, a, b).value
                 inst, psi_used = direct_integral_instance(phi, a, b)
                 brute = exact_norm_decoupled(inst, p, q).value
                 route = criterion_graph_result(inst, psi_used, p, q).value
@@ -245,7 +247,7 @@ class TestCriterion:
         for seed in range(10):
             phi = random_split_mapping(seed)
             for (p, q, a, b) in [(2.0, 1.0, 1.0, 2.0), (3.0, 2.0, 2.0, 3.0), (2.0, 2.0, 2.0, 2.0)]:
-                crit = criterion_mixed_composition(phi, p, q, a, b)
+                crit = criterion_mixed_composition(phi, p, q, a, b).value
                 for _ in range(20):
                     f = {c: float(g.standard_normal()) for c in phi.codomain.cells}
                     num = mixed_norm(compose_apply(f, phi), phi.domain, q, a)
@@ -267,6 +269,6 @@ class TestDirectIntegralInstance:
         # the general criterion on the materialized instance also matches
         phi = random_split_mapping(33)
         p, q, a, b = 3.0, 2.0, 2.0, 3.0
-        crit = criterion_mixed_composition(phi, p, q, a, b)
+        crit = criterion_mixed_composition(phi, p, q, a, b).value
         inst, _ = direct_integral_instance(phi, a, b)
         assert criterion_general_result(inst, p, q).value == pytest.approx(crit, rel=1e-9)
