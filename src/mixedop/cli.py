@@ -52,7 +52,7 @@ from .generators import random_density
 from .kernels import kappa
 from .measure import integrate_change_of_variables
 from .mixedcomp import criterion_mixed_composition, direct_integral_instance
-from .scenario import Check, Scenario, load_scenario
+from .scenario import Check, Scenario, load_scenario, resolve
 
 COLUMNS = [
     "scenario_id",
@@ -169,7 +169,6 @@ def _reject_reason(p: float, q: float, alpha: float | None = None, beta: float |
 
 
 def _execute_check(
-    sc: Scenario,
     check: Check,
     exps: tuple[float, ...],
     seed: int,
@@ -191,14 +190,14 @@ def _execute_check(
     row["kappa"] = kappa(p, q)
 
     if kind == "criterion":
-        res = criterion_general_result(sc.kernel_for(check), p, q)
+        res = criterion_general_result(check.kernel, p, q)
         row.update(value=res.value, value_certificate=res.certificate)
     elif kind == "exact_norm":
-        res = exact_norm_decoupled(sc.kernel_for(check), p, q)
+        res = exact_norm_decoupled(check.kernel, p, q)
         row.update(value=res.value, value_certificate=res.certificate)
     elif kind == "sandwich":
         try:
-            rep = sandwich_report(sc.kernel_for(check), p, q, samples, seed)
+            rep = sandwich_report(check.kernel, p, q, samples, seed)
         except SandwichViolationError as e:
             row.update(status=STATUS_VIOLATION, reason=str(e))
             return row
@@ -211,13 +210,13 @@ def _execute_check(
             upper_certificate=rep.upper.certificate,
         )
     elif kind == "phi_audit":
-        worst = phi_audit_violation(sc.kernel_for(check), p, q, check.partitions, seed)
+        worst = phi_audit_violation(check.kernel, p, q, check.partitions, seed)
         row.update(value=worst)
         if not (worst <= tolerance):
             row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
     elif kind == "mixedcomp":  # the loader checked the block and the 4-tuples
-        value = criterion_mixed_composition(sc.mixed, p, q, alpha, beta).value
-        instance, _ = direct_integral_instance(sc.mixed, alpha, beta)
+        value = criterion_mixed_composition(check.mapping, p, q, alpha, beta).value
+        instance, _ = direct_integral_instance(check.mapping, alpha, beta)
         brute = exact_norm_decoupled(instance, p, q)
         equal = abs(value - brute.value) <= MIXEDCOMP_TOL * max(value, 1.0)
         row.update(
@@ -232,8 +231,7 @@ def _execute_check(
                 reason=f"criterion {value:.15g} vs operator norm {brute.value:.15g}",
             )
     else:  # change_of_vars; the loader admits no other kind
-        psi = sc.mapping_for(check)
-        f = sc.density_for(check)
+        psi, f = check.mapping, check.density
         if f is None:
             f = random_density(psi.target, seed)
         lhs, rhs = integrate_change_of_variables(f, psi, psi.source, psi.target)
@@ -271,7 +269,7 @@ def _report(
         use_samples = samples if samples is not None else check.samples
         for exps in check.exponents:
             t0 = time.perf_counter()
-            row = _execute_check(sc, check, exps, use_seed, use_samples, tolerance)
+            row = _execute_check(check, exps, use_seed, use_samples, tolerance)
             row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
             rows.append(row)
     return _finish(rows, sc.id, timing, out_path)
@@ -303,7 +301,7 @@ def sweep(
     if not p_grid or not q_grid:
         raise ScenarioError("sweep needs nonempty p and q grids")
     sc = load_scenario(scenario_path)
-    grid = Check(kind="sandwich", exponents=[(p, q) for p in p_grid for q in q_grid])
+    grid = Check("sandwich", [(p, q) for p in p_grid for q in q_grid], kernel=resolve({}, "kernel", sc.kernels, "sweep"))
     return _report(sc, [grid], seed, samples, DEFAULT_TOLERANCE, timing, out_path)
 
 
@@ -319,7 +317,7 @@ def phi_audit(
     scenario's checks; p = q pairs are rejected (kappa is infinite)."""
     sc = load_scenario(scenario_path)
     pairs = list(dict.fromkeys((exps[0], exps[1]) for check in sc.checks for exps in check.exponents))
-    audit = Check(kind="phi_audit", exponents=pairs, partitions=partitions)
+    audit = Check("phi_audit", pairs, partitions=partitions, kernel=resolve({}, "kernel", sc.kernels, "phi-audit"))
     return _report(sc, [audit], seed, None, tolerance, timing, out_path)
 
 
@@ -387,11 +385,15 @@ def _grid(text: str, where: str) -> list[float]:
         if not tok:
             continue
         try:
-            vals.append(check_exponent(float(tok)))  # float reads "inf" too
-        except InvalidExponentError as e:
-            raise ScenarioError(f"{where}: {e}") from None
+            value = float(tok)  # float reads "inf" too, and reads "1e400" as inf
         except ValueError:
             raise ScenarioError(f"{where}: bad number {tok!r}") from None
+        if math.isinf(value) and tok.lower().lstrip("+-") not in ("inf", "infinity"):
+            raise ScenarioError(f"{where}: number too large for a float")
+        try:
+            vals.append(check_exponent(value))
+        except InvalidExponentError as e:
+            raise ScenarioError(f"{where}: {e}") from None
     if not vals:
         raise ScenarioError(f"{where}: empty grid")
     return vals

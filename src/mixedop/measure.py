@@ -43,7 +43,7 @@ class FiniteMeasureSpace:
         pairs.sort()
         for i, w in pairs:
             if not w > 0 or not np.isfinite(w):
-                raise ValueError(f"atom {i!r} has non-positive weight {w}")
+                raise ValueError(f"atom {i!r} has invalid weight {w}")
         self.ids: tuple[str, ...] = tuple(i for i, _ in pairs)
         self.weights: np.ndarray = _readonly(np.array([w for _, w in pairs], dtype=float))
         self._index = {i: k for k, i in enumerate(self.ids)}

@@ -38,9 +38,12 @@ def parse_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{where}: integer too large for a float") from None
+    if math.isinf(number):  # a decimal beyond the float range, such as 1e400, that json reads as inf
+        raise ScenarioError(f"{where}: number too large for a float")
+    return number
 
 
 def _expect_count(value: Any, minimum: int, where: str) -> int:
@@ -75,6 +78,20 @@ def _ref(cfg: dict, key: str, registry: dict, what: str, where: str):
     return registry[name]
 
 
+def resolve(cfg: dict, key: str, registry: dict, where: str, optional: bool = False):
+    """The block of ``registry`` that ``cfg[key]`` names; with no name, the
+    only block of its kind, or None if ``optional`` and there is none."""
+    if cfg.get(key) is not None:
+        return _ref(cfg, key, registry, key, where)
+    if len(registry) == 1:
+        return next(iter(registry.values()))
+    if registry:
+        raise ScenarioError(f"{where}: check needs an explicit {key} reference ({len(registry)} defined)")
+    if optional:
+        return None
+    raise ScenarioError(f"{where}: the scenario defines no {key}")
+
+
 def _blocks(data: dict, section: str) -> Iterator[tuple[str, dict, str]]:
     """(name, cfg, where) for every block of a top-level section."""
     for name, cfg in _expect(data.get(section, {}), dict, section).items():
@@ -101,16 +118,19 @@ class _at:
 
 @dataclass
 class Check:
-    """One requested computation with its exponent tuples."""
+    """One requested computation with its exponent tuples, and the blocks
+    it reads: the kernel of a criterion, exact_norm, sandwich or phi_audit
+    check; the mapping and density of a change_of_vars check (no density:
+    a seeded random one); the split mapping of a mixedcomp check."""
 
     kind: str
     exponents: list[tuple[float, ...]]
     seed: int = 0
     samples: int = 1000
     partitions: int = 20
-    kernel: str | None = None
-    mapping: str | None = None
-    density: str | None = None
+    kernel: OperatorKernel | None = None
+    mapping: AtomMap | SplitMapping | None = None
+    density: DensityFn | None = None
 
 
 @dataclass
@@ -127,30 +147,6 @@ class Scenario:
     mixed: SplitMapping | None = None
     checks: list[Check] = field(default_factory=list)
 
-    def _sole(self, registry: dict, what: str, name: str | None):
-        if name is not None:
-            if name not in registry:
-                raise ScenarioError(f"check references unknown {what} {name!r}")
-            return registry[name]
-        if len(registry) == 1:
-            return next(iter(registry.values()))
-        if not registry:
-            raise ScenarioError(f"the scenario defines no {what}")
-        raise ScenarioError(
-            f"check needs an explicit {what} reference ({len(registry)} defined)"
-        )
-
-    def kernel_for(self, check: Check) -> OperatorKernel:
-        return self._sole(self.kernels, "kernel", check.kernel)
-
-    def mapping_for(self, check: Check) -> AtomMap:
-        return self._sole(self.mappings, "mapping", check.mapping)
-
-    def density_for(self, check: Check) -> DensityFn | None:
-        if check.density is None and not self.densities:
-            return None
-        return self._sole(self.densities, "density", check.density)
-
 
 def _load_spaces(data: dict) -> dict[str, FiniteMeasureSpace]:
     out = {}
@@ -164,9 +160,9 @@ def _load_spaces(data: dict) -> dict[str, FiniteMeasureSpace]:
 
 def _finite_numbers(values: list) -> bool:
     """Whether ``parse_number`` takes every entry of ``values`` as the
-    float that ``np.array`` makes of it: ints and floats, none NaN or huge."""
+    float that ``np.array`` makes of it: ints and floats, all finite."""
     try:
-        return set(map(type, values)) <= {int, float} and not np.isnan(np.array(values, dtype=float)).any()
+        return set(map(type, values)) <= {int, float} and bool(np.isfinite(np.array(values, dtype=float)).all())
     except OverflowError:
         return False
 
@@ -371,7 +367,7 @@ def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
         return SplitMapping(domain, codomain, psi, u)
 
 
-def _load_checks(data: dict, mixed: SplitMapping | None) -> list[Check]:
+def _load_checks(data: dict, kernels: dict, mappings: dict, densities: dict, mixed: SplitMapping | None) -> list[Check]:
     out = []
     for i, cfg in enumerate(_expect(data.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
@@ -381,29 +377,28 @@ def _load_checks(data: dict, mixed: SplitMapping | None) -> list[Check]:
             raise ScenarioError(f"{where}: unknown kind {kind!r} (one of {CHECK_KINDS})")
         if kind == "mixedcomp" and mixed is None:
             raise ScenarioError(f"{where}: a mixedcomp check needs a mixed_composition block")
+        for key in ("kernel", "mapping", "density"):  # a name is a string, even one its kind ignores
+            if cfg.get(key) is not None:
+                _expect(cfg[key], str, where, key)
+        check = Check(kind, [])
+        if kind == "mixedcomp":
+            check.mapping = mixed
+        elif kind == "change_of_vars":
+            check.mapping = resolve(cfg, "mapping", mappings, where)
+            check.density = resolve(cfg, "density", densities, where, optional=True)
+        else:
+            check.kernel = resolve(cfg, "kernel", kernels, where)
         size, shape = (4, "[p, q, alpha, beta]") if kind == "mixedcomp" else (2, "[p, q]")
-        refs = {
-            key: _expect(cfg[key], str, where, key)
-            for key in ("kernel", "mapping", "density")
-            if cfg.get(key) is not None
-        }
-        exponents = []
         for j, entry in enumerate(_expect(cfg.get("exponents", []), list, f"{where}.exponents")):
             entry = _expect(entry, list, f"{where}.exponents[{j}]")
             if len(entry) != size:
                 raise ScenarioError(f"{where}.exponents[{j}]: a {kind} check takes {shape}")
             with _at(f"{where}.exponents[{j}]"):
-                exponents.append(tuple(check_exponent(parse_number(x, f"{where}.exponents[{j}]")) for x in entry))
-        out.append(
-            Check(
-                kind=kind,
-                exponents=exponents,
-                seed=_expect_count(cfg.get("seed", 0), 0, f"{where}.seed"),
-                samples=_expect_count(cfg.get("samples", 1000), 1, f"{where}.samples"),
-                partitions=_expect_count(cfg.get("partitions", 20), 1, f"{where}.partitions"),
-                **refs,
-            )
-        )
+                check.exponents.append(tuple(check_exponent(parse_number(x, f"{where}.exponents[{j}]")) for x in entry))
+        check.seed = _expect_count(cfg.get("seed", Check.seed), 0, f"{where}.seed")
+        check.samples = _expect_count(cfg.get("samples", Check.samples), 1, f"{where}.samples")
+        check.partitions = _expect_count(cfg.get("partitions", Check.partitions), 1, f"{where}.partitions")
+        out.append(check)
     return out
 
 
@@ -449,15 +444,5 @@ def _load(path) -> Scenario:
     mappings = _load_mappings(data, spaces)
     densities = _load_densities(data, spaces)
     mixed = _load_mixed(data, spaces)
-    checks = _load_checks(data, mixed)
-    return Scenario(
-        id=sid,
-        spaces=spaces,
-        relations=relations,
-        families=families,
-        kernels=kernels,
-        mappings=mappings,
-        densities=densities,
-        mixed=mixed,
-        checks=checks,
-    )
+    checks = _load_checks(data, kernels, mappings, densities, mixed)
+    return Scenario(sid, spaces, relations, families, kernels, mappings, densities, mixed, checks)

@@ -149,9 +149,8 @@ class TestScenarioLoading:
     def test_ambiguous_default_kernel(self, tmp_path):
         data = _minimal_scenario()
         data["kernels"]["Q"] = data["kernels"]["P"]
-        sc = load_scenario(_write(tmp_path, data))
-        with pytest.raises(ScenarioError):
-            sc.kernel_for(sc.checks[0])
+        with pytest.raises(ScenarioError, match=r"^checks\[0\]: check needs an explicit kernel reference \(2 defined\)$"):
+            load_scenario(_write(tmp_path, data))
 
 
 class TestCollectorPause:
@@ -729,12 +728,12 @@ class TestCheckShapes:
     @pytest.mark.parametrize("argv", [["sweep", "--p-grid", "2", "--q-grid", "1"], ["phi-audit"]])
     def test_no_kernel_defined(self, capsys, argv):
         assert main([argv[0], str(SCENARIOS / "mixed_composition.json"), *argv[1:]]) == 1
-        assert capsys.readouterr().err == "mixedop: input error: the scenario defines no kernel\n"
+        assert capsys.readouterr().err == f"mixedop: input error: {argv[0]}: the scenario defines no kernel\n"
 
     def test_no_mapping_defined(self, tmp_path, capsys):
         path = _edited(tmp_path, "scalar17", ("checks",), [{"kind": "change_of_vars", "exponents": [[2, 2]]}])
         assert main(["run", path]) == 1
-        assert capsys.readouterr().err == "mixedop: input error: the scenario defines no mapping\n"
+        assert capsys.readouterr().err == "mixedop: input error: checks[0]: the scenario defines no mapping\n"
 
 
 class TestOracleBound:
@@ -861,6 +860,124 @@ class TestHugeIntegers:
         assert not out.exists()
 
 
+class TestHugeDecimals:
+    """A JSON decimal beyond the float range, which json reads as inf, is an
+    input error at its place; so is a bare Infinity, which is no JSON number."""
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("scalar17", ("spaces", "T", "t1"), 1e400, "spaces.T.t1: number too large for a float"),
+        ("scalar17", ("families", "W", "fibers", "t1", "r"), 1e400,
+         "families.W.fibers.t1.r: number too large for a float"),
+        ("scalar17", ("families", "V", "fibers", "s1", "weights", 0), -1e400,
+         "families.V.fibers.s1.weights: number too large for a float"),
+        ("scalar17", ("checks", 1, "exponents", 0, 1), 1e400, "checks[1].exponents[0]: number too large for a float"),
+        ("graph_swap", ("densities", "f", "values", "t1"), 1e400, "densities.f.values.t1: number too large for a float"),
+    ], ids=["space-weight", "fiber-r", "fiber-weight", "exponent", "density"])
+    def test_decimal_beyond_float_range_exits_1(self, tmp_path, capsys, name, path, value, message):
+        out = tmp_path / "out.csv"
+        assert main(["run", _edited(tmp_path, name, path, value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    def test_literal_text_1e400(self, tmp_path):
+        """The literal as a user writes it, not as json.dumps writes inf."""
+        text = (SCENARIOS / "scalar17.json").read_text()
+        data = json.loads(text)
+        data["families"]["W"]["fibers"]["t1"]["r"] = "R"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"R"', "1e400"))
+        _one_error_line(_console("run", str(path)), "families.W.fibers.t1.r: number too large for a float")
+
+
+def _references(**edits):
+    """``graph_swap.json`` (one kernel, mapping and density) with a good
+    first check and ``edits`` applied: each a section's new blocks (None
+    drops the section), or ``check`` for the second check."""
+    data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+    second = edits.pop("check")
+    for section, blocks in edits.items():
+        if blocks is None:
+            del data[section]
+        else:
+            data[section] = blocks
+    data["checks"] = [{"kind": "sandwich", "exponents": [[2, 2]], "samples": 10}, second]
+    return data
+
+
+def _doubled(section):
+    data = json.loads((SCENARIOS / "graph_swap.json").read_text())
+    (name, block), = data[section].items()
+    return {name: block, "extra": block}
+
+
+_COV = {"kind": "change_of_vars", "exponents": [[2, 2]]}
+
+
+class TestCheckReferences:
+    """The loader resolves the kernel, mapping and density each check
+    reads: a bad reference is a load error at ``checks[i]``, found before
+    any check runs, even when every row of its check would be rejected."""
+
+    @pytest.mark.parametrize("edits, message", [
+        (dict(check={"kind": "criterion", "exponents": [[2, 2]], "kernel": "nope"}),
+         "checks[1]: unknown kernel 'nope'"),
+        (dict(kernels=_doubled("kernels"), check={"kind": "exact_norm", "exponents": [[2, 2]]}),
+         "checks[0]: check needs an explicit kernel reference (2 defined)"),
+        (dict(kernels=None, check={"kind": "phi_audit", "exponents": [[4, 2]]}),
+         "checks[0]: the scenario defines no kernel"),
+        (dict(check={**_COV, "mapping": "nope"}), "checks[1]: unknown mapping 'nope'"),
+        (dict(mappings=_doubled("mappings"), check=_COV),
+         "checks[1]: check needs an explicit mapping reference (2 defined)"),
+        (dict(mappings=None, check=_COV), "checks[1]: the scenario defines no mapping"),
+        (dict(check={**_COV, "density": "nope"}), "checks[1]: unknown density 'nope'"),
+        (dict(densities=_doubled("densities"), check=_COV),
+         "checks[1]: check needs an explicit density reference (2 defined)"),
+        (dict(densities=None, check={**_COV, "density": "f"}), "checks[1]: unknown density 'f'"),
+        (dict(check={"kind": "criterion", "exponents": [[2, 4]], "kernel": "nope"}),
+         "checks[1]: unknown kernel 'nope'"),
+    ], ids=["kernel-unknown", "kernel-two", "kernel-none", "mapping-unknown", "mapping-two", "mapping-none",
+            "density-unknown", "density-two", "density-none", "all-rows-rejected"])
+    def test_load_error_before_any_check(self, tmp_path, capsys, monkeypatch, edits, message):
+        def fail(*args):
+            pytest.fail("a check ran before its references were resolved")
+        monkeypatch.setattr(cli, "_execute_check", fail)
+        path = _write(tmp_path, _references(**edits))
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(path)
+        assert str(e.value) == message
+        out = tmp_path / "out.csv"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p-grid", "2", "--q-grid", "4"], ["sweep", "--p-grid", "1.5,2,4", "--q-grid", "1,2,4"],
+        ["phi-audit", "--partitions", "5"],
+    ], ids=["sweep-all-rejected", "sweep", "phi-audit"])
+    def test_verb_without_a_kernel(self, tmp_path, capsys, monkeypatch, argv):
+        def fail(*args):
+            pytest.fail("a check ran before its kernel was resolved")
+        monkeypatch.setattr(cli, "_execute_check", fail)
+        out = tmp_path / "out.csv"
+        assert main([argv[0], str(SCENARIOS / "mixed_composition.json"), "--out", str(out), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {argv[0]}: the scenario defines no kernel\n"
+        assert not out.exists()
+
+    def test_unknown_kernel_of_rejected_rows_in_a_fresh_interpreter(self, tmp_path):
+        path = _write(tmp_path, _references(check={"kind": "criterion", "exponents": [[2, 4]], "kernel": "nope"}))
+        _one_error_line(_console("run", path), "checks[1]: unknown kernel 'nope'")
+
+    def test_resolved_blocks(self, tmp_path):
+        sc = load_scenario(SCENARIOS / "graph_swap.json")
+        sandwich, cov = sc.checks
+        assert sandwich.kernel is sc.kernels["P"]
+        assert (cov.mapping, cov.density) == (sc.mappings["psi"], sc.densities["f"])
+        sc = load_scenario(_write(tmp_path, _references(densities=None, check=_COV)))
+        assert sc.checks[1].density is None  # a seeded random density, drawn when the check runs
+        sc = load_scenario(SCENARIOS / "mixed_composition.json")
+        assert sc.checks[0].mapping is sc.mixed
+
+
 _PAIRS = ("relations", "lam", "pairs")
 
 
@@ -873,7 +990,7 @@ class TestLoaderMessages:
         (_PAIRS + (1, 1), "t9", "relations.lam: \"pair names unknown target atom 't9'\""),
         (_PAIRS + (1, 2), -1.0, "relations.lam: pair ('s1', 't2') has invalid weight -1.0"),
         (_PAIRS + (0, 2), "inf", "relations.lam: pair ('s1', 't1') has invalid weight inf"),
-        (_PAIRS + (0, 2), 1e400, "relations.lam: pair ('s1', 't1') has invalid weight inf"),
+        (_PAIRS + (0, 2), 1e400, "relations.lam.pairs: number too large for a float"),
         (_PAIRS + (1, 2), True, "relations.lam.pairs: expected a number, got True"),
         (_PAIRS + (1, 2), "x", "relations.lam.pairs: expected a number or 'inf', got 'x'"),
         (_PAIRS + (0, 2), math.nan, "relations.lam.pairs: expected a number, got nan"),
@@ -892,6 +1009,8 @@ class TestLoaderMessages:
          "kernels.P.matrices[0]: matrix at ('s1', 't1') has entry True, not a number"),
         (("kernels", "P", "matrices"), [["s1", "t1", [[1.0]]], ["s1", "t2", [[2.0]]], ["s1", "t1", [[5.0]]]],
          "kernels.P.matrices[2]: duplicate matrix for pair ('s1', 't1')"),
+        (("spaces", "T", "t1"), "inf", "spaces.T: atom 't1' has invalid weight inf"),
+        (("spaces", "T", "t1"), 0, "spaces.T: atom 't1' has invalid weight 0.0"),
     ])
     def test_first_bad_entry_is_named(self, tmp_path, capsys, path, value, message):
         out = tmp_path / "out.csv"
@@ -910,7 +1029,7 @@ class TestExponentRange:
         ("scalar17", ("checks", 1, "exponents", 0), [2, 0.5],
          "checks[1].exponents[0]: exponent must lie in [1, inf], got 0.5"),
         ("scalar17", ("checks", 0, "exponents", 1), [-math.inf, 2],
-         "checks[0].exponents[1]: exponent must lie in [1, inf], got -inf"),
+         "checks[0].exponents[1]: number too large for a float"),
         ("mixed_composition", ("checks", 0, "exponents", 2), [2, 2, 2, 0.5],
          "checks[0].exponents[2]: exponent must lie in [1, inf], got 0.5"),
     ])
@@ -925,6 +1044,9 @@ class TestExponentRange:
         (["--p-grid", "2", "--q-grid", "0.5"], "--q-grid: exponent must lie in [1, inf], got 0.5"),
         (["--p-grid=-inf", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got -inf"),
         (["--p-grid", "2,nan", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got nan"),
+        (["--p-grid", "1e400", "--q-grid", "1"], "--p-grid: number too large for a float"),
+        (["--p-grid", "2", "--q-grid", "1,-1e400"], "--q-grid: number too large for a float"),
+        (["--p-grid=-Infinity", "--q-grid", "1"], "--p-grid: exponent must lie in [1, inf], got -inf"),
     ])
     def test_sweep_grid(self, tmp_path, capsys, grids, message):
         out = tmp_path / "out.csv"
@@ -936,6 +1058,16 @@ class TestExponentRange:
         out = tmp_path / "out.csv"
         assert main(["sweep", str(SCENARIOS / "scalar17.json"), "--p-grid", "INF", "--q-grid", "2", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[2] == "inf"
+
+    def test_sweep_grid_infinity_is_an_exponent(self, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = ["sweep", str(SCENARIOS / "scalar17.json"), "--p-grid", "+Infinity", "--q-grid", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1].split(",")[2] == "inf"
+
+    def test_sweep_grid_beyond_float_range_exits_1(self):
+        _one_error_line(_console("sweep", str(SCENARIOS / "scalar17.json"), "--p-grid", "1e400", "--q-grid", "2"),
+                        "--p-grid: number too large for a float")
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
