@@ -32,14 +32,14 @@ from .errors import (
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import check_exponent, power_sums
+from .fibers import power_sums
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
     NormResult,
     OperatorKernel,
+    exponent_pair,
     fiber_effectiveness,
-    kappa,
     weakest_certificate,
 )
 from .measure import AtomMap, DensityFn
@@ -49,21 +49,6 @@ EQUALITY_TOL = 1e-9
 EXACT_SLACK = 1e-9
 LOWER_BOUND_SLACK = 1e-6
 HYPOTHESIS_TOL = 1e-9  # relative slack of the kernel-norm hypotheses of the criteria
-
-
-def _finite_pair(p, q) -> tuple[float, float, float]:
-    """Validate a source/target exponent pair for norm computations.
-
-    Returns (p, q, kappa).  Both exponents must be finite here: q = inf
-    never arises below p, and p = inf is outside the supported regime
-    for source exponents.
-    """
-    p = check_exponent(p)
-    q = check_exponent(q)
-    k = kappa(p, q)
-    if math.isinf(p) or math.isinf(q):
-        raise UnsupportedExponentsError("infinite source/target exponents are not supported")
-    return p, q, k
 
 
 def _atom_norm(values: np.ndarray, kernel: OperatorKernel, p: float, k: float) -> float:
@@ -100,7 +85,7 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     the max over atoms.  As 1 - kappa/q = -kappa/p, that is ``_atom_norm``
     of (sum_s lam_st ||P||^q)^(1/q).  Exact when every matrix norm is.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     aggs = kernel._norm_sums(range(len(kernel.relation.target.ids)), q)
     value = _atom_norm(np.array([a.value for a in aggs]), kernel, p, k)
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
@@ -114,7 +99,7 @@ def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> NormRes
     term is rho(t)^q lam_t / mu_t = rho(t)^q J(t), J the marginal density,
     so the result is the general criterion's, certificate included.
     """
-    _finite_pair(p, q)
+    exponent_pair(p, q)
     T = kernel.relation.target
     for t in T.ids:
         if t not in rho:
@@ -147,7 +132,7 @@ def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormRe
     identity data and p = q this recovers the classical
     decomposable-operator condition (the ess-sup of the fiber norms).
     """
-    _finite_pair(p, q)
+    exponent_pair(p, q)
     if not psi.is_injective:
         raise NotInjectiveError("graph criterion requires an injective mapping")
     _require_graph(kernel, psi)
@@ -165,7 +150,7 @@ def criterion_uniform_bounds(
     c * value <= ||M_psi|| <= C * value.  The value reads no matrix
     norm (those only check the hypothesis), so it is exact.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     if not (0 < c <= C):
         raise ValueError(f"need 0 < c <= C, got c={c}, C={C}")
     _require_graph(kernel, psi)
@@ -199,7 +184,7 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     c(t) mu_t^(-1/p) for p > q, and its max for p = q.  Exact whenever
     every per-atom direction problem hit a closed-form branch.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     T = kernel.relation.target
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
     value = _atom_norm(np.array([e.value for e in effs]), kernel, p, k)
@@ -243,9 +228,9 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
     the weakest of the c(t) over A, as ``exact_norm_decoupled``'s is
     over T.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     if math.isinf(k):
-        raise UnsupportedExponentsError("the set function needs p > q (finite kappa)")
+        raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
     subset = frozenset(subset)
     unknown = [t for t in subset if t not in T]
@@ -286,9 +271,9 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
     atom order (as ``phi_value`` adds it), the derivative sum of a prefix
     in the order its blocks were inserted.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     if math.isinf(k):
-        raise UnsupportedExponentsError("the set function needs p > q (finite kappa)")
+        raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
     terms, _ = _phi_terms(kernel, T.ids, p, q, k)
     phi_total = _ordered_sum(terms)
@@ -335,7 +320,7 @@ def oracle_norm_sampling(
     already exact.  The kernel keeps c~ per (q, seed, samples); only the
     factors mu_t^(-1/p) are applied per call.
     """
-    p, q, k = _finite_pair(p, q)
+    p, q, k = exponent_pair(p, q)
     n = int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
@@ -358,7 +343,7 @@ def section_ratios(
     Feeds the sufficiency checks: every ratio must stay below the
     criterion value.
     """
-    p, q, _ = _finite_pair(p, q)
+    p, q, _ = exponent_pair(p, q)
     n = int(n_sections)
     if n < 1:
         raise ValueError("n_sections must be >= 1")
@@ -396,7 +381,7 @@ def sandwich_report(
     multi-dimensional fibers with incompatible maximizing directions it
     is legitimately false.
     """
-    p, q, _ = _finite_pair(p, q)
+    p, q, _ = exponent_pair(p, q)
     lower = exact_norm_decoupled(kernel, p, q)
     upper = criterion_general_result(kernel, p, q)
     oracle = oracle_norm_sampling(kernel, p, q, oracle_samples, seed)

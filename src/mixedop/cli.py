@@ -49,7 +49,7 @@ from .errors import (
 )
 from .fibers import check_exponent
 from .generators import random_density
-from .kernels import kappa
+from .kernels import exponent_pair
 from .measure import integrate_change_of_variables
 from .mixedcomp import criterion_mixed_composition, direct_integral_instance
 from .scenario import Check, Scenario, load_scenario, resolve
@@ -155,19 +155,6 @@ def _check_writable(out_path: str | None) -> None:
     raise ScenarioError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
-def _reject_reason(p: float, q: float, alpha: float | None = None, beta: float | None = None) -> str | None:
-    if q > p:
-        return "p<q out of supported scope"
-    if math.isinf(p):
-        return "p=inf out of scope"
-    if alpha is not None and beta is not None:
-        if alpha > beta:
-            return "alpha>beta out of supported scope"
-        if math.isinf(beta):
-            return "beta=inf out of scope"
-    return None
-
-
 def _execute_check(
     check: Check,
     exps: tuple[float, ...],
@@ -180,65 +167,60 @@ def _execute_check(
     alpha = exps[2] if len(exps) == 4 else None
     beta = exps[3] if len(exps) == 4 else None
     row = _row(check=kind, p=p, q=q, alpha=alpha, beta=beta)
-    reason = _reject_reason(p, q, alpha, beta)
-    if reason is not None:
-        row.update(status=STATUS_REJECTED, reason=reason)
-        return row
-    if kind == "phi_audit" and p == q:
-        row.update(status=STATUS_REJECTED, reason="p=q: set function undefined (kappa=inf)")
-        return row
-    row["kappa"] = kappa(p, q)
-
-    if kind == "criterion":
-        res = criterion_general_result(check.kernel, p, q)
-        row.update(value=res.value, value_certificate=res.certificate)
-    elif kind == "exact_norm":
-        res = exact_norm_decoupled(check.kernel, p, q)
-        row.update(value=res.value, value_certificate=res.certificate)
-    elif kind == "sandwich":
-        try:
+    # the library owns the supported exponents: its refusal, raised before
+    # any computation, is the rejected row with an empty kappa cell
+    try:
+        row["kappa"] = exponent_pair(p, q)[2]
+        if kind == "criterion":
+            res = criterion_general_result(check.kernel, p, q)
+            row.update(value=res.value, value_certificate=res.certificate)
+        elif kind == "exact_norm":
+            res = exact_norm_decoupled(check.kernel, p, q)
+            row.update(value=res.value, value_certificate=res.certificate)
+        elif kind == "sandwich":
             rep = sandwich_report(check.kernel, p, q, samples, seed)
-        except SandwichViolationError as e:
-            row.update(status=STATUS_VIOLATION, reason=str(e))
-            return row
-        row.update(
-            lower=rep.lower.value,
-            upper=rep.upper.value,
-            oracle=rep.oracle,
-            equality=rep.equality,
-            lower_certificate=rep.lower.certificate,
-            upper_certificate=rep.upper.certificate,
-        )
-    elif kind == "phi_audit":
-        worst = phi_audit_violation(check.kernel, p, q, check.partitions, seed)
-        row.update(value=worst)
-        if not (worst <= tolerance):
-            row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
-    elif kind == "mixedcomp":  # the loader checked the block and the 4-tuples
-        value = criterion_mixed_composition(check.mapping, p, q, alpha, beta).value
-        instance, _ = direct_integral_instance(check.mapping, alpha, beta)
-        brute = exact_norm_decoupled(instance, p, q)
-        equal = abs(value - brute.value) <= MIXEDCOMP_TOL * max(value, 1.0)
-        row.update(
-            value=value,
-            lower=brute.value,
-            lower_certificate=brute.certificate,
-            equality=equal,
-        )
-        if not equal:
             row.update(
-                status=STATUS_VIOLATION,
-                reason=f"criterion {value:.15g} vs operator norm {brute.value:.15g}",
+                lower=rep.lower.value,
+                upper=rep.upper.value,
+                oracle=rep.oracle,
+                equality=rep.equality,
+                lower_certificate=rep.lower.certificate,
+                upper_certificate=rep.upper.certificate,
             )
-    else:  # change_of_vars; the loader admits no other kind
-        psi, f = check.mapping, check.density
-        if f is None:
-            f = random_density(psi.target, seed)
-        lhs, rhs = integrate_change_of_variables(f, psi, psi.source, psi.target)
-        equal = abs(lhs - rhs) <= CHANGE_OF_VARS_TOL * max(abs(lhs), 1.0)
-        row.update(value=lhs, lower=rhs, equality=equal)
-        if not equal:
-            row.update(status=STATUS_VIOLATION, reason=f"lhs {lhs:.17g} != rhs {rhs:.17g}")
+        elif kind == "phi_audit":
+            worst = phi_audit_violation(check.kernel, p, q, check.partitions, seed)
+            row.update(value=worst)
+            if not (worst <= tolerance):
+                row.update(status=STATUS_VIOLATION, reason=f"set-function violation {worst:.3e}")
+        elif kind == "mixedcomp":  # the loader checked the block and the 4-tuples
+            value = criterion_mixed_composition(check.mapping, p, q, alpha, beta).value
+            instance, _ = direct_integral_instance(check.mapping, alpha, beta)
+            brute = exact_norm_decoupled(instance, p, q)
+            equal = abs(value - brute.value) <= MIXEDCOMP_TOL * max(value, 1.0)
+            row.update(
+                value=value,
+                lower=brute.value,
+                lower_certificate=brute.certificate,
+                equality=equal,
+            )
+            if not equal:
+                row.update(
+                    status=STATUS_VIOLATION,
+                    reason=f"criterion {value:.15g} vs operator norm {brute.value:.15g}",
+                )
+        else:  # change_of_vars; the loader admits no other kind
+            psi, f = check.mapping, check.density
+            if f is None:
+                f = random_density(psi.target, seed)
+            lhs, rhs = integrate_change_of_variables(f, psi, psi.source, psi.target)
+            equal = abs(lhs - rhs) <= CHANGE_OF_VARS_TOL * max(abs(lhs), 1.0)
+            row.update(value=lhs, lower=rhs, equality=equal)
+            if not equal:
+                row.update(status=STATUS_VIOLATION, reason=f"lhs {lhs:.17g} != rhs {rhs:.17g}")
+    except UnsupportedExponentsError as e:
+        row.update(kappa=None, status=STATUS_REJECTED, reason=str(e))
+    except SandwichViolationError as e:
+        row.update(status=STATUS_VIOLATION, reason=str(e))
     return row
 
 
@@ -451,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.verb == "run":
                 return run(args.scenario, out, seed, samples, tolerance, args.timing)
             return phi_audit(args.scenario, args.partitions, seed, out, tolerance, args.timing)
-    except (ScenarioError, UnsupportedExponentsError) as e:
+    except ScenarioError as e:
         print(f"mixedop: input error: {e}", file=sys.stderr)
         return 1
     except MixedOpError as e:

@@ -22,8 +22,8 @@ class InvalidExponentError(MixedOpError, ValueError):
 
 
 class UnsupportedExponentsError(MixedOpError, ValueError):
-    """Exponent pair outside the supported regime (1 <= q <= p, p finite
-    unless p == q)."""
+    """Exponents outside the supported regime: 1 <= q <= p with p
+    finite, and for mixed norms 1 <= alpha <= beta with beta finite."""
 
 
 class HypothesisViolationError(MixedOpError, ValueError):

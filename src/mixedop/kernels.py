@@ -71,16 +71,29 @@ def kappa(p, q) -> float:
     p = check_exponent(p)
     q = check_exponent(q)
     if p < q:
-        raise UnsupportedExponentsError(f"q <= p required, got p={p}, q={q}")
+        raise UnsupportedExponentsError("p<q out of supported scope")
     if p == q:
         return INF
     if math.isinf(p):
-        raise UnsupportedExponentsError("p = inf is supported only when p = q")
+        raise UnsupportedExponentsError("p=inf out of scope")
     product = p * q
     if math.isinf(product):
         # a huge finite p overflows p q; this form needs no product
         return q / (1.0 - q / p)
     return product / (p - q)
+
+
+def exponent_pair(p, q) -> tuple[float, float, float]:
+    """(p, q, kappa) for a source/target pair in the supported regime:
+    1 <= q <= p with p finite.  The one owner of that rule; its messages
+    are the reasons the CLI writes on a rejected row.
+    """
+    p = check_exponent(p)
+    q = check_exponent(q)
+    k = kappa(p, q)
+    if math.isinf(p):
+        raise UnsupportedExponentsError("p=inf out of scope")
+    return p, q, k
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NonFiniteResultError, NotInjectiveError, SliceRangeError, UnknownAtomError
+from .errors import NonFiniteResultError, NotInjectiveError, SliceRangeError, UnknownAtomError, UnsupportedExponentsError
 from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm
-from .kernels import EXACT, NormResult, OperatorKernel, kappa
+from .kernels import EXACT, NormResult, OperatorKernel, exponent_pair, kappa
 from .measure import (
     AtomMap,
     DensityFn,
@@ -232,6 +232,19 @@ def slice_volume_derivatives(phi: SplitMapping) -> tuple[DensityFn, DensityFn]:
     return J_psi, DensityFn(J_u)
 
 
+def _slice_pair(alpha, beta) -> tuple[float, float]:
+    """(alpha, kappa(beta, alpha)) for slice exponents in the supported
+    regime, 1 <= alpha <= beta with beta finite: the slice counterpart of
+    ``exponent_pair``, with the reasons the CLI writes."""
+    alpha = check_exponent(alpha)
+    beta = check_exponent(beta)
+    if alpha > beta:
+        raise UnsupportedExponentsError("alpha>beta out of supported scope")
+    if math.isinf(beta):
+        raise UnsupportedExponentsError("beta=inf out of scope")
+    return alpha, kappa(beta, alpha)
+
+
 def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> NormResult:
     """Boundedness criterion for C_phi from L^{p,beta} to L^{q,alpha}.
 
@@ -244,10 +257,8 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> NormRes
     Exact: the value is read off the volume derivatives, with no matrix
     norm.
     """
-    k_out = kappa(p, q)
-    k_in = kappa(beta, alpha)
-    q = float(q)
-    alpha = float(alpha)
+    _, q, k_out = exponent_pair(p, q)
+    alpha, k_in = _slice_pair(alpha, beta)
     J_psi, J_u = slice_volume_derivatives(phi)
     mu = phi.codomain.outer
     rho = _slice_norms({c: J_u[c] ** (1.0 / alpha) for c in phi.codomain.cells}, phi.codomain, k_in)
@@ -262,11 +273,11 @@ def mixed_product_density_norm(phi: SplitMapping, p, q, alpha, beta) -> float:
     """The same criterion computed the direct way: a mixed norm over the
     codomain grid of J_psi^(1/q) J_u^(1/alpha).  Used as a two-route
     consistency check for criterion_mixed_composition."""
-    k_out = kappa(p, q)
-    k_in = kappa(beta, alpha)
+    _, q, k_out = exponent_pair(p, q)
+    alpha, k_in = _slice_pair(alpha, beta)
     J_psi, J_u = slice_volume_derivatives(phi)
     g = {
-        (t, y): J_psi[t] ** (1.0 / float(q)) * J_u[(t, y)] ** (1.0 / float(alpha))
+        (t, y): J_psi[t] ** (1.0 / q) * J_u[(t, y)] ** (1.0 / alpha)
         for (t, y) in phi.codomain.cells
     }
     return mixed_norm(g, phi.codomain, k_out, k_in)

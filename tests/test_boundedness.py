@@ -1,6 +1,7 @@
 """Criteria, decoupled norm, set function, oracles, sandwich reports."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -571,6 +572,18 @@ class TestPhiAudit:
     def test_unknown_atom_rejected(self):
         with pytest.raises(UnknownAtomError, match=r"unknown atoms \['zz'\]"):
             phi_value(scalar17_instance(), ["t1", "zz"], 4, 2)
+
+    @pytest.mark.parametrize("p, q, reason", [
+        (2, 2, "p=q: set function undefined (kappa=inf)"),
+        (math.inf, math.inf, "p=inf out of scope"),
+        (2, 4, "p<q out of supported scope"),
+    ])
+    def test_refusal_is_the_rejected_reason(self, p, q, reason):
+        anchored = f"^{re.escape(reason)}$"
+        with pytest.raises(UnsupportedExponentsError, match=anchored):
+            phi_value(scalar17_instance(), ["t1"], p, q)
+        with pytest.raises(UnsupportedExponentsError, match=anchored):
+            phi_audit_violation(scalar17_instance(), p, q, 5, 0)
 
 
 def _scaled_lambda(ker, c: float):

@@ -512,6 +512,43 @@ class TestRunVerb:
         assert float(cov[0]["value"]) == float(cov[0]["lower"]) == 27.0
 
 
+def _edge_scenario(tmp_path, name, check):
+    """A bundled scenario with its checks replaced by ``check``."""
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    data["checks"] = [check]
+    return _write(tmp_path, data)
+
+
+_CHANGE_OF_VARS = {"kind": "change_of_vars", "mapping": "psi", "density": "f"}
+
+
+class TestRejectedRows:
+    """The library refuses every exponent tuple outside the supported
+    regime, and the CLI writes that refusal as the row's reason."""
+
+    @pytest.mark.parametrize("name, check, exps, reason", [
+        ("mixed_composition", {"kind": "mixedcomp"}, [2, 1, 2, 1], "alpha>beta out of supported scope"),
+        ("mixed_composition", {"kind": "mixedcomp"}, [2, 1, 1, "inf"], "beta=inf out of scope"),
+        ("mixed_composition", {"kind": "mixedcomp"}, [2, 1, "inf", "inf"], "beta=inf out of scope"),
+        ("mixed_composition", {"kind": "mixedcomp"}, ["inf", "inf", 1, 2], "p=inf out of scope"),
+        ("mixed_composition", {"kind": "mixedcomp"}, [1, 2, 1, 2], "p<q out of supported scope"),
+        ("mixed_composition", {"kind": "mixedcomp"}, ["inf", 2, 1, 2], "p=inf out of scope"),
+        ("graph_swap", _CHANGE_OF_VARS, [2, 4], "p<q out of supported scope"),
+        ("graph_swap", _CHANGE_OF_VARS, ["inf", 2], "p=inf out of scope"),
+        ("graph_swap", _CHANGE_OF_VARS, ["inf", "inf"], "p=inf out of scope"),
+        ("graph_swap", {"kind": "phi_audit"}, [2, 2], "p=q: set function undefined (kappa=inf)"),
+        ("graph_swap", {"kind": "phi_audit"}, ["inf", "inf"], "p=inf out of scope"),
+        ("graph_swap", {"kind": "phi_audit"}, [2, 4], "p<q out of supported scope"),
+        ("graph_swap", {"kind": "criterion"}, ["inf", "inf"], "p=inf out of scope"),
+    ])
+    def test_reason_and_empty_kappa(self, tmp_path, name, check, exps, reason):
+        path = _edge_scenario(tmp_path, name, dict(check, exponents=[exps]))
+        out = tmp_path / "out.csv"
+        assert main(["run", path, "--out", str(out)]) == 0
+        row = dict(zip(COLUMNS, out.read_text().splitlines()[1].split(",")))
+        assert (row["status"], row["reason"], row["kappa"]) == ("rejected", reason, "")
+
+
 class TestCheckFields:
     @pytest.mark.parametrize("field, kind", [
         ("kernel", "criterion"), ("mapping", "change_of_vars"), ("density", "change_of_vars"),
@@ -1074,6 +1111,29 @@ class TestExponentRange:
 def test_bundled_csv_matches_reference_bytes(scenario, tmp_path):
     out = tmp_path / "out.csv"
     assert run(str(scenario), out_path=str(out)) == 0
+    assert out.read_bytes() == (BUNDLED_REFS / f"{scenario.stem}.csv").read_bytes()
+
+
+def _dispatched_cpu_features() -> list[str]:
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:
+        return []
+    return list(getattr(_multiarray_umath, "__cpu_dispatch__", []))
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_csv_bytes_do_not_depend_on_simd_dispatch(scenario, tmp_path):
+    """numpy's array ``**`` rounds some values differently from Python's
+    only where it dispatches power to AVX-512 code, so the reference bytes
+    must also come out of numpy's baseline code, with every dispatched
+    feature off: CI runners differ in CPU."""
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy reports no dispatched CPU features")
+    out = tmp_path / "out.csv"
+    done = _console("run", str(scenario), "--out", str(out), NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    assert done.returncode == 0, done.stderr
     assert out.read_bytes() == (BUNDLED_REFS / f"{scenario.stem}.csv").read_bytes()
 
 

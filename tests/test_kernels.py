@@ -1,6 +1,7 @@
 """Kernels, induced matrix norms, and the fiber direction optimization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from mixedop import (
     scalar_family,
 )
 from mixedop.boundedness import criterion_general_result
+from mixedop.kernels import exponent_pair
 from mixedop.generators import (
     identity_instance,
     projection_gap_instance,
@@ -88,6 +90,30 @@ class TestKappa:
             kappa(INF, 2)
         with pytest.raises(InvalidExponentError):
             kappa(2, 0.5)
+
+    @pytest.mark.parametrize("p, q, reason", [
+        (2, 4, "p<q out of supported scope"),
+        (INF, 2, "p=inf out of scope"),
+    ])
+    def test_refusal_is_the_rejected_reason(self, p, q, reason):
+        with pytest.raises(UnsupportedExponentsError, match=f"^{re.escape(reason)}$"):
+            kappa(p, q)
+
+
+class TestExponentPair:
+    def test_values(self):
+        assert exponent_pair(4, 2) == (4.0, 2.0, 4.0)
+        assert exponent_pair(2, 2) == (2.0, 2.0, INF)
+
+    @pytest.mark.parametrize("p, q, reason", [
+        (2, 4, "p<q out of supported scope"),
+        (2, INF, "p<q out of supported scope"),
+        (INF, 2, "p=inf out of scope"),
+        (INF, INF, "p=inf out of scope"),
+    ])
+    def test_refusal_is_the_rejected_reason(self, p, q, reason):
+        with pytest.raises(UnsupportedExponentsError, match=f"^{re.escape(reason)}$"):
+            exponent_pair(p, q)
 
 
 def _scalar_pair_instance():

@@ -2,6 +2,7 @@
 derivatives, the boundedness criterion, and its cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mixedop import (
     SliceRangeError,
     SplitMapping,
     UnknownAtomError,
+    UnsupportedExponentsError,
     compose_apply,
     criterion_general_result,
     criterion_graph_result,
@@ -241,6 +243,22 @@ class TestCriterion:
                 scale = max(crit, 1.0)
                 assert abs(crit - brute) <= 1e-6 * scale
                 assert abs(crit - route) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("exps, reason", [
+        ((2, 1, 2, 1), "alpha>beta out of supported scope"),
+        ((2, 1, 1, math.inf), "beta=inf out of scope"),
+        ((2, 1, math.inf, math.inf), "beta=inf out of scope"),
+        ((math.inf, math.inf, 1, 2), "p=inf out of scope"),
+        ((1, 2, 1, 2), "p<q out of supported scope"),
+        ((math.inf, 2, 1, 2), "p=inf out of scope"),
+    ])
+    def test_refusal_is_the_rejected_reason(self, exps, reason):
+        phi = random_split_mapping(3)
+        anchored = f"^{re.escape(reason)}$"
+        with pytest.raises(UnsupportedExponentsError, match=anchored):
+            criterion_mixed_composition(phi, *exps)
+        with pytest.raises(UnsupportedExponentsError, match=anchored):
+            mixed_product_density_norm(phi, *exps)
 
     def test_sufficiency_for_random_functions(self):
         g = substream(3, 0)
