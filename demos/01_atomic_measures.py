@@ -20,7 +20,7 @@ print("\nrelation pairs:", lam.pairs, "total mass", lam.total_mass)
 
 # The Radon-Nikodym derivative with respect to the product measure is a
 # per-pair ratio: J(s, t) = lambda_st / (nu_s mu_t).
-J = mo.radon_nikodym(lam, S, T)
+J = mo.radon_nikodym(lam)
 for (s, t), v in J.items():
     print(f"J({s}, {t}) = {v}")
 
@@ -33,18 +33,18 @@ print("reconstructed mass:", total)
 print("\nmarginal onto T:", list(mo.marginal_onto_T(lam).items()))
 
 psi = mo.AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-Jpsi = mo.pushforward_volume_derivative(psi, S, T)
+Jpsi = mo.pushforward_volume_derivative(psi)
 print("volume derivative of psi^-1:", [(t, Jpsi[t]) for t in T.ids])
 
 # Change of variables: integrating f o psi against nu equals integrating
 # f J against mu.  On atoms the two routes agree to rounding.
 f = mo.DensityFn({"t1": 5.0, "t2": 7.0})
-lhs, rhs = mo.integrate_change_of_variables(f, psi, S, T)
+lhs, rhs = mo.integrate_change_of_variables(f, psi)
 print("\nchange of variables: lhs =", lhs, " rhs =", rhs)
 
 # The graph of psi carrying lambda(A) = nu(pi_S(A)) is how composition
 # operators embed into the relation picture.
-graph = mo.graph_relation(psi, S)
+graph = mo.graph_relation(psi)
 print("graph relation:", list(graph.items()))
 print("marginal of graph = pushforward measure:",
       list(mo.marginal_onto_T(graph).items()))

@@ -212,7 +212,7 @@ def _execute_check(
             psi, f = check.mapping, check.density
             if f is None:
                 f = random_density(psi.target, seed)
-            lhs, rhs = integrate_change_of_variables(f, psi, psi.source, psi.target)
+            lhs, rhs = integrate_change_of_variables(f, psi)
             equal = abs(lhs - rhs) <= CHANGE_OF_VARS_TOL * max(abs(lhs), 1.0)
             row.update(value=lhs, lower=rhs, equality=equal)
             if not equal:

@@ -12,6 +12,8 @@ class UnknownAtomError(MixedOpError, KeyError):
     violation: mass sits where the reference measure has none.
     """
 
+    __str__ = MixedOpError.__str__  # KeyError's would quote the message
+
 
 class DimensionMismatchError(MixedOpError, ValueError):
     """Vector or matrix shape is inconsistent with the fiber dimensions."""
@@ -36,6 +38,8 @@ class NotInjectiveError(MixedOpError, ValueError):
 
 class MissingPairError(MixedOpError, KeyError):
     """A required (s, t) pair is absent from the kernel's relation."""
+
+    __str__ = MixedOpError.__str__
 
 
 class SliceRangeError(MixedOpError, ValueError):

@@ -1,9 +1,9 @@
 """Seeded builders for spaces, relations, families, kernels, and split
 mappings.
 
-Used by the demos and the verification suite, and backing the
-generator entries of scenario files.  Every function is deterministic
-in its seed via counter-based substreams.
+Used by the demos and the verification suite, and for the default
+density of a change-of-variables check and the audit's partitions.
+Every function is deterministic in its seed via counter-based substreams.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def random_graph_instance(
         if injective
         else random_noninjective_atom_map(S, T, seed + 3)
     )
-    rel = graph_relation(psi, S)
+    rel = graph_relation(psi)
     W = random_fiber_family(T, seed + 4, max_dim=max_dim, exponents=exponents)
     V = random_fiber_family(S, seed + 5, max_dim=max_dim, exponents=exponents)
     return random_kernel(rel, W, V, seed + 6), psi
@@ -209,7 +209,7 @@ def identity_instance(n: int = 4, dim: int = 1) -> tuple[OperatorKernel, AtomMap
     T = FiniteMeasureSpace({f"a{i:03d}": 1.0 for i in range(n)})
     S = FiniteMeasureSpace({f"a{i:03d}": 1.0 for i in range(n)})
     psi = AtomMap(S, T, {i: i for i in S.ids})
-    rel = graph_relation(psi, S)
+    rel = graph_relation(psi)
     W = FiberFamily(T, {i: NormSpec(2, np.ones(dim)) for i in T.ids})
     V = FiberFamily(S, {i: NormSpec(2, np.ones(dim)) for i in S.ids})
     mats = {(s, t): np.eye(dim) for (s, t) in rel.pairs}
@@ -279,4 +279,4 @@ def random_split_mapping(
         target = codomain.slice(psi(s))
         u[s] = {x: target[int(g.integers(len(target)))] for x in xs}
     domain = MixedDomain(S, X, dom_cells)
-    return SplitMapping(domain, codomain, psi, u)
+    return SplitMapping(domain, codomain, psi.table, u)

@@ -140,23 +140,19 @@ def grid_section(g: Mapping[tuple[str, str], float], grid: MixedDomain) -> Secti
 class SplitMapping:
     """phi(s, x) = (psi(s), u_s(x)) between two mixed domains.
 
-    Each u_s must be total on the slice over s and land inside the
-    slice over psi(s).
+    psi is a table on the domain's outer atoms into the codomain's; each
+    u_s must be total on the slice over s and land inside the slice over
+    psi(s).
     """
 
     def __init__(
         self,
         domain: MixedDomain,
         codomain: MixedDomain,
-        psi: AtomMap | Mapping[str, str],
+        psi: Mapping[str, str],
         u: Mapping[str, Mapping[str, str]],
     ):
-        if not isinstance(psi, AtomMap):
-            psi = AtomMap(domain.outer, codomain.outer, psi)
-        if set(psi.source.ids) != set(domain.outer.ids):
-            raise UnknownAtomError("psi must be defined on the domain's outer atoms")
-        if set(psi.target.ids) != set(codomain.outer.ids):
-            raise UnknownAtomError("psi must map into the codomain's outer atoms")
+        psi = AtomMap(domain.outer, codomain.outer, psi)
         table: dict[str, dict[str, str]] = {}
         for s in domain.outer.ids:
             slice_s = domain.slice(s)
@@ -216,7 +212,7 @@ def slice_volume_derivatives(phi: SplitMapping) -> tuple[DensityFn, DensityFn]:
     psi = phi.psi
     if not psi.is_injective:
         raise NotInjectiveError("slice volume derivatives require injective psi")
-    J_psi = pushforward_volume_derivative(psi, phi.domain.outer, phi.codomain.outer)
+    J_psi = pushforward_volume_derivative(psi)
     inv = {psi(s): s for s in psi.source.ids}
     eta_x = phi.domain.inner
     eta_y = phi.codomain.inner
@@ -314,5 +310,5 @@ def direct_integral_instance(
             A[i, col[u_s[x]]] = 1.0
         matrices[(s, t)] = A
     psi_used = AtomMap(S_used, codom_fam.base, psi_table)
-    relation = graph_relation(psi_used, S_used)
+    relation = graph_relation(psi_used)
     return OperatorKernel(relation, codom_fam, dom_fam, matrices), psi_used

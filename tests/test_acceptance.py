@@ -193,7 +193,7 @@ def _two_sided_scalar_graph(seed):
     T = random_measure_space("t", nt, seed + 1)
     S = random_measure_space("s", ns, seed + 2)
     psi = random_noninjective_atom_map(S, T, seed + 3)
-    rel = graph_relation(psi, S)
+    rel = graph_relation(psi)
     mats = {
         (s, t): [[float(g.uniform(0.5, 2.0) * (1 if g.uniform() < 0.5 else -1))]]
         for (s, t) in rel.pairs
@@ -221,7 +221,7 @@ def test_07_two_sided_bounds_sandwich():
     from mixedop import AtomMap
 
     psi = AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-    rel = graph_relation(psi, S)
+    rel = graph_relation(psi)
     ker = OperatorKernel(
         rel, scalar_family(T), scalar_family(S),
         {("s1", "t1"): [[1.0]], ("s2", "t1"): [[1.0]]},
@@ -274,7 +274,7 @@ def test_09_change_of_variables():
         T = random_measure_space("t", int(substream(seed, 2).integers(2, 21)), seed + 100)
         psi = random_atom_map(S, T, seed + 200)
         f = random_density(T, seed + 300)
-        lhs, rhs = integrate_change_of_variables(f, psi, S, T)
+        lhs, rhs = integrate_change_of_variables(f, psi)
         rel_err = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         assert rel_err <= 1e-12, (seed, lhs, rhs)
         worst = max(worst, rel_err)

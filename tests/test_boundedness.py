@@ -88,7 +88,7 @@ class TestCriterionUniformT:
         T = FiniteMeasureSpace({f"a{i}": 0.25 for i in range(4)})
         S = FiniteMeasureSpace({f"a{i}": 0.25 for i in range(4)})
         psi = AtomMap(S, T, {i: i for i in S.ids})
-        rel = graph_relation(psi, S)
+        rel = graph_relation(psi)
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
@@ -129,7 +129,7 @@ class TestCriterionGraph:
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 4.0})
         T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
         psi = AtomMap(S, T, {"s1": "t2", "s2": "t1"})
-        rel = graph_relation(psi, S)
+        rel = graph_relation(psi)
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
@@ -141,7 +141,7 @@ class TestCriterionGraph:
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
         T = FiniteMeasureSpace({"t1": 1.0})
         psi = AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-        rel = graph_relation(psi, S)
+        rel = graph_relation(psi)
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
@@ -154,7 +154,7 @@ class TestCriterionUniformBounds:
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
         T = FiniteMeasureSpace({"t1": 1.0})
         psi = AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-        rel = graph_relation(psi, S)
+        rel = graph_relation(psi)
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S),
             {("s1", "t1"): [[values[0]]], ("s2", "t1"): [[values[1]]]},
@@ -279,7 +279,7 @@ def _huge_target_identity():
     S = FiniteMeasureSpace({f"s{i}": 1.0 for i in range(3)})
     T = FiniteMeasureSpace({f"t{i}": 1e308 for i in range(3)})
     psi = AtomMap(S, T, {f"s{i}": f"t{i}" for i in range(3)})
-    rel = graph_relation(psi, S)
+    rel = graph_relation(psi)
     ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs})
     return ker, psi, DensityFn({t: 1.0 for t in T.ids})
 

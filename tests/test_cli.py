@@ -1023,8 +1023,8 @@ class TestLoaderMessages:
     the first bad entry with this exact line and exits 1."""
 
     @pytest.mark.parametrize("path, value, message", [
-        (_PAIRS + (0, 0), "s9", "relations.lam: \"pair names unknown source atom 's9'\""),
-        (_PAIRS + (1, 1), "t9", "relations.lam: \"pair names unknown target atom 't9'\""),
+        (_PAIRS + (0, 0), "s9", "relations.lam: pair names unknown source atom 's9'"),
+        (_PAIRS + (1, 1), "t9", "relations.lam: pair names unknown target atom 't9'"),
         (_PAIRS + (1, 2), -1.0, "relations.lam: pair ('s1', 't2') has invalid weight -1.0"),
         (_PAIRS + (0, 2), "inf", "relations.lam: pair ('s1', 't1') has invalid weight inf"),
         (_PAIRS + (0, 2), 1e400, "relations.lam.pairs: number too large for a float"),
@@ -1052,6 +1052,17 @@ class TestLoaderMessages:
     def test_first_bad_entry_is_named(self, tmp_path, capsys, path, value, message):
         out = tmp_path / "out.csv"
         assert main(["run", _edited(tmp_path, "scalar17", path, value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("psi, message", [
+        ({"s1": "t1"}, "mixed_composition: map table must be total on the source atoms"),
+        ({"s1": "zz", "s2": "t2"}, "mixed_composition: map sends 's1' to unknown atom 'zz'"),
+    ])
+    def test_bad_mixed_composition_psi_is_named(self, tmp_path, capsys, psi, message):
+        out = tmp_path / "out.csv"
+        path = ("mixed_composition", "psi")
+        assert main(["run", _edited(tmp_path, "mixed_composition", path, psi), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
         assert not out.exists()
 

@@ -212,7 +212,7 @@ class TestApplyWeightedComposition:
         from mixedop import AtomMap
 
         psi = AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-        rel = graph_relation(psi, S)
+        rel = graph_relation(psi)
         ker = OperatorKernel(
             rel,
             scalar_family(T),
@@ -239,7 +239,7 @@ class TestApplyWeightedComposition:
             S = random_measure_space("s", 5, seed)
             T = random_measure_space("t", 6, seed + 10)
             psi = random_atom_map(S, T, seed + 20)
-            rel = graph_relation(psi, S)
+            rel = graph_relation(psi)
             W = random_fiber_family(T, seed + 30, max_dim=3)
             V = random_fiber_family(S, seed + 40, max_dim=3)
             ker = random_kernel(rel, W, V, seed + 50)

@@ -116,6 +116,21 @@ class TestSplitMapping:
         with pytest.raises(UnknownAtomError):
             SplitMapping(dom, cod, {s: s for s in dom.outer.ids}, {})
 
+    def test_psi_must_be_total_on_outer_atoms(self):
+        phi = _identity_mapping()
+        with pytest.raises(UnknownAtomError, match=r"^map table must be total on the source atoms$"):
+            SplitMapping(phi.domain, phi.codomain, {"o0": "o0"}, {})
+
+    def test_psi_must_land_in_codomain_outer_atoms(self):
+        S = FiniteMeasureSpace({"s1": 1.0})
+        X = FiniteMeasureSpace({"x1": 1.0})
+        dom = MixedDomain(S, X, [("s1", "x1")])
+        with pytest.raises(UnknownAtomError, match=r"^map sends 's1' to unknown atom 'zz'$") as e:
+            SplitMapping(dom, dom, {"s1": "zz"}, {"s1": {"x1": "x1"}})
+        # a KeyError subclass, but its message is not quoted
+        assert str(e.value) == "map sends 's1' to unknown atom 'zz'"
+        assert isinstance(e.value, KeyError)
+
 
 class TestComposeApply:
     def test_identity(self):
