@@ -32,7 +32,7 @@ from .errors import (
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import power_sums
+from .fibers import ordered_sum, power_sums
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
@@ -213,12 +213,6 @@ def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> tup
     return terms, certificate
 
 
-def _ordered_sum(x: np.ndarray) -> float:
-    """x[0] + x[1] + ... added left to right, as a ``total +=`` loop adds
-    them; np.sum adds pairwise, which changes the last bits."""
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
-
-
 def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
     """The set function Phi(A) = ||M_F restricted to A||^kappa.
 
@@ -237,7 +231,7 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
     terms, certificate = _phi_terms(kernel, sorted(subset), p, q, k)
-    return NormResult(_ordered_sum(terms), certificate)
+    return NormResult(ordered_sum(terms), certificate)
 
 
 def _derivatives(ids, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -276,7 +270,7 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
         raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
     terms, _ = _phi_terms(kernel, T.ids, p, q, k)
-    phi_total = _ordered_sum(terms)
+    phi_total = ordered_sum(terms)
     if not math.isfinite(phi_total):
         raise NonFiniteResultError(f"set function value {phi_total} is not finite (overflow in the arithmetic)")
     denom = phi_total if phi_total > 0 else 1.0
@@ -286,18 +280,17 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
         labels = random_partition_labels(len(T.ids), seed * 100003 + j)
         sizes = np.bincount(labels)
         blocks = np.flatnonzero(sizes)
-        block_values = [_ordered_sum(terms[labels == b]) for b in blocks]
-        worst = max(worst, abs(sum(block_values) - phi_total) / denom)
-        inserted = moments[np.argsort(labels, kind="stable")].tolist()
+        block_values = [ordered_sum(terms[labels == b]) for b in blocks]
+        worst = max(worst, abs(ordered_sum(block_values) - phi_total) / denom)
+        inserted = moments[np.argsort(labels, kind="stable")]
         ends = np.cumsum(sizes[blocks]).tolist()
         prev = 0.0
         for b, end in zip(blocks, ends):
-            current = _ordered_sum(terms[labels <= b])
+            current = ordered_sum(terms[labels <= b])
             worst = max(worst, max(0.0, prev - current) / denom)
             prev = current
-            # the builtin sum, as sum(phi_derivative(t) * mu_t for t in prefix)
-            # adds (compensated from Python 3.12 on)
-            deriv_sum = sum(inserted[:end])
+            # the prefix's phi_derivative(t) * mu_t in insertion order, left to right
+            deriv_sum = ordered_sum(inserted[:end])
             worst = max(worst, abs(deriv_sum - current) / denom)
     return worst
 

@@ -48,6 +48,14 @@ def power_sums(V, r: float, weights=None) -> np.ndarray:
     return np.array(roots).reshape(M.shape)
 
 
+def ordered_sum(x) -> float:
+    """x[0] + x[1] + ... added left to right, as a ``total +=`` loop adds
+    them: np.sum adds pairwise, and the builtin sum compensates from
+    Python 3.12 on, so either would change the last bits."""
+    total = np.cumsum(x)
+    return float(total[-1]) if total.size else 0.0
+
+
 def lp_measure_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """L^p norm over an atomic measure: (sum w |v|^p)^(1/p).
 

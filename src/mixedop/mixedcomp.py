@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NonFiniteResultError, NotInjectiveError, SliceRangeError, UnknownAtomError, UnsupportedExponentsError
-from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm
+from .fibers import FiberFamily, NormSpec, Section, check_exponent, lp_measure_norm, ordered_sum
 from .kernels import EXACT, NormResult, OperatorKernel, exponent_pair, kappa
 from .measure import (
     AtomMap,
@@ -223,7 +223,7 @@ def slice_volume_derivatives(phi: SplitMapping) -> tuple[DensityFn, DensityFn]:
             J_u[(t, y)] = 0.0
             continue
         u_s = phi.u(s)
-        mass = sum(eta_x.weight(x) for x in phi.domain.slice(s) if u_s[x] == y)
+        mass = ordered_sum([eta_x.weight(x) for x in phi.domain.slice(s) if u_s[x] == y])
         J_u[(t, y)] = mass / eta_y.weight(y)
     return J_psi, DensityFn(J_u)
 

@@ -93,8 +93,9 @@ def resolve(cfg: dict, key: str, registry: dict, where: str, optional: bool = Fa
 
 
 def _blocks(data: dict, section: str) -> Iterator[tuple[str, dict, str]]:
-    """(name, cfg, where) for every block of a top-level section."""
-    for name, cfg in _expect(data.get(section, {}), dict, section).items():
+    """(name, cfg, where) for every block of a top-level section, taken out
+    of ``data`` so that its JSON is freed once its blocks are built."""
+    for name, cfg in _expect(data.pop(section, {}), dict, section).items():
         where = f"{section}.{name}"
         yield name, _expect(cfg, dict, where), where
 
@@ -327,6 +328,9 @@ def _load_densities(data: dict, spaces: dict) -> dict[str, DensityFn]:
             density = DensityFn(
                 {a: parse_number(v, f"{where}.values.{a}") for a, v in values.items()}
             )
+            for atom in values:
+                if atom not in space:
+                    raise ScenarioError(f"{where}: values name unknown atom {atom!r}")
             for atom in space.ids:
                 if atom not in density:
                     raise ScenarioError(f"{where}: missing value for atom {atom!r}")
@@ -335,7 +339,7 @@ def _load_densities(data: dict, spaces: dict) -> dict[str, DensityFn]:
 
 
 def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
-    cfg = data.get("mixed_composition")
+    cfg = data.pop("mixed_composition", None)
     if cfg is None:
         return None
     where = "mixed_composition"
@@ -369,7 +373,7 @@ def _load_mixed(data: dict, spaces: dict) -> SplitMapping | None:
 
 def _load_checks(data: dict, kernels: dict, mappings: dict, densities: dict, mixed: SplitMapping | None) -> list[Check]:
     out = []
-    for i, cfg in enumerate(_expect(data.get("checks", []), list, "checks")):
+    for i, cfg in enumerate(_expect(data.pop("checks", []), list, "checks")):
         where = f"checks[{i}]"
         cfg = _expect(cfg, dict, where)
         kind = cfg.get("kind")
@@ -386,6 +390,8 @@ def _load_checks(data: dict, kernels: dict, mappings: dict, densities: dict, mix
         elif kind == "change_of_vars":
             check.mapping = resolve(cfg, "mapping", mappings, where)
             check.density = resolve(cfg, "density", densities, where, optional=True)
+            if check.density is not None and set(check.density.keys()) != set(check.mapping.target.ids):
+                raise ScenarioError(f"{where}: the density must live on the mapping's target space")
         else:
             check.kernel = resolve(cfg, "kernel", kernels, where)
         size, shape = (4, "[p, q, alpha, beta]") if kind == "mixedcomp" else (2, "[p, q]")
@@ -430,6 +436,7 @@ def _load(path) -> Scenario:
         raise ScenarioError(f"{path}: invalid JSON (nested too deeply)") from e
     except ValueError as e:  # a syntax error, or an integer literal beyond the digit limit
         raise ScenarioError(f"{path}: invalid JSON ({e})") from e
+    del text  # decoded: only the tree is held, and each stage below takes its section out of it
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     if data.get("schema_version") != 1:

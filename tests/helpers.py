@@ -15,6 +15,25 @@ import numpy as np
 from mixedop import NormSpec, fiber_norm
 
 
+def loop_sum(values) -> float:
+    """``values`` added left to right, one ``total +=`` at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def neumaier_sum(values) -> float:
+    """The builtin float sum of Python 3.12 on: Neumaier-compensated, the
+    correction added at the end when it is nonzero and finite."""
+    total, c = 0.0, 0.0
+    for v in values:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
 def weighted_norm_reference(v, weights, r) -> float:
     """Straightforward reference evaluation of the weighted r-norm."""
     v = np.abs(np.asarray(v, dtype=float))

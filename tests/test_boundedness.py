@@ -38,7 +38,7 @@ from mixedop import (
     scalar_family,
     section_ratios,
 )
-from mixedop import kernels
+from mixedop import boundedness, kernels, mixedcomp
 from mixedop.boundedness import phi_audit_violation
 from mixedop.fibers import lp_measure_norm, power_sums
 from mixedop.kernels import effectiveness_objective
@@ -49,12 +49,13 @@ from mixedop.generators import (
     random_instance,
     random_partition,
     random_scalar_instance,
+    random_split_mapping,
     random_subset,
     scalar17_instance,
 )
 from mixedop.rng import GENERATOR_TAG, ORACLE_TAG, substream
 
-from helpers import scalar_ratio_brute
+from helpers import loop_sum, neumaier_sum, scalar_ratio_brute
 
 ROOT17 = 17.0 ** 0.25
 
@@ -519,7 +520,7 @@ def _reference_phi_audit(kernel, p: float, q: float, partitions: int, seed: int)
     for k in range(partitions):
         blocks = _reference_partition(ids, seed * 100003 + k)
         block_values = [_reference_phi_value(kernel, b, p, q) for b in blocks]
-        worst = max(worst, abs(sum(block_values) - phi_total) / denom)
+        worst = max(worst, abs(loop_sum(block_values) - phi_total) / denom)
         prefix: list[str] = []
         prev = 0.0
         for block in blocks:
@@ -527,7 +528,7 @@ def _reference_phi_audit(kernel, p: float, q: float, partitions: int, seed: int)
             current = _reference_phi_value(kernel, prefix, p, q)
             worst = max(worst, max(0.0, prev - current) / denom)
             prev = current
-            deriv_sum = sum(_reference_phi_derivative(kernel, t, p, q) * mu.weight(t) for t in prefix)
+            deriv_sum = loop_sum(_reference_phi_derivative(kernel, t, p, q) * mu.weight(t) for t in prefix)
             worst = max(worst, abs(deriv_sum - current) / denom)
     return worst
 
@@ -584,6 +585,26 @@ class TestPhiAudit:
             phi_value(scalar17_instance(), ["t1"], p, q)
         with pytest.raises(UnsupportedExponentsError, match=anchored):
             phi_audit_violation(scalar17_instance(), p, q, 5, 0)
+
+
+class TestSummationOrder:
+    """The audit value and the slice volume derivatives add left to right,
+    so they do not depend on the Python version: from 3.12 on the builtin
+    sum is compensated."""
+
+    def test_values_do_not_move_under_a_compensated_builtin_sum(self, monkeypatch):
+        # both moved under this patch while they added with the builtin sum
+        ker = random_instance(8, max_atoms=60, max_dim=2)
+        phi = random_split_mapping(2, max_slice=8)
+
+        def values():
+            J_psi, J_u = mixedcomp.slice_volume_derivatives(phi)
+            return phi_audit_violation(ker, 3, 2, 20, 0), J_psi.items(), J_u.items()
+
+        before = values()
+        for module in (boundedness, mixedcomp):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        assert values() == before
 
 
 def _scaled_lambda(ker, c: float):

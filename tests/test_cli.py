@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,33 @@ class TestCollectorPause:
             sc = load_scenario(path)
             del sc
             assert gc.collect() == 0, path.name
+
+
+def _traced_peak(load) -> int:
+    """The traced memory peak of ``load()``, its result included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """``load_scenario`` drops the file text once it is decoded, and each
+    stage takes its section out of the decoded tree, so the section's JSON
+    is freed as soon as its objects are built: loading peaks near the
+    decoding itself."""
+
+    def test_peak_is_near_the_decoding_peak(self, tmp_path):
+        from perfbench import gen
+
+        (audit,) = gen.generate("phi_audit", 0, tmp_path)
+        assert audit.path.stat().st_size >= 400_000
+        decoded = _traced_peak(lambda: json.loads(Path(audit.path).read_text()))
+        loaded = _traced_peak(lambda: load_scenario(audit.path))
+        assert loaded <= 1.2 * decoded, (loaded, decoded)
 
 
 class TestRunVerb:
@@ -972,8 +1000,10 @@ class TestCheckReferences:
         (dict(densities=None, check={**_COV, "density": "f"}), "checks[1]: unknown density 'f'"),
         (dict(check={"kind": "criterion", "exponents": [[2, 4]], "kernel": "nope"}),
          "checks[1]: unknown kernel 'nope'"),
+        (dict(densities={"f": {"space": "S", "values": {"s1": 5.0, "s2": 7.0}}}, check={**_COV, "density": "f"}),
+         "checks[1]: the density must live on the mapping's target space"),
     ], ids=["kernel-unknown", "kernel-two", "kernel-none", "mapping-unknown", "mapping-two", "mapping-none",
-            "density-unknown", "density-two", "density-none", "all-rows-rejected"])
+            "density-unknown", "density-two", "density-none", "all-rows-rejected", "density-off-target"])
     def test_load_error_before_any_check(self, tmp_path, capsys, monkeypatch, edits, message):
         def fail(*args):
             pytest.fail("a check ran before its references were resolved")
@@ -1064,6 +1094,13 @@ class TestLoaderMessages:
         path = ("mixed_composition", "psi")
         assert main(["run", _edited(tmp_path, "mixed_composition", path, psi), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"mixedop: input error: {message}\n"
+        assert not out.exists()
+
+    def test_density_value_off_its_space_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = ("densities", "f", "values", "zz")
+        assert main(["run", _edited(tmp_path, "graph_swap", path, 1.0), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "mixedop: input error: densities.f: values name unknown atom 'zz'\n"
         assert not out.exists()
 
 

@@ -23,10 +23,10 @@ from mixedop import (
     mixed_norm,
     scalar_family,
 )
-from mixedop.fibers import lp_measure_norm, power_sums
+from mixedop.fibers import lp_measure_norm, ordered_sum, power_sums
 from mixedop.rng import substream
 
-from helpers import product_lq_norm, weighted_norm_reference
+from helpers import loop_sum, neumaier_sum, product_lq_norm, weighted_norm_reference
 
 EXPONENT_POOL = (1.0, 1.5, 2.0, 3.0, INF)
 
@@ -138,6 +138,21 @@ class TestPowerSums:
         assert lp_measure_norm(v, w, INF) == 4.0
         assert fiber_norm(v, NormSpec(INF, w)) == 30.0
         assert lp_measure_norm(v, w, 2.0) == fiber_norm(v, NormSpec(2.0, w)) == pytest.approx(math.sqrt(106.0))
+
+
+class TestOrderedSum:
+    """``ordered_sum`` adds left to right on every Python, where the
+    builtin sum compensates from 3.12 on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=40))
+    def test_equals_a_left_to_right_loop(self, values):
+        assert ordered_sum(values) == ordered_sum(np.array(values)) == loop_sum(values)
+
+    def test_is_not_compensated(self):
+        values = [1e16, 1.0, -1e16]
+        assert (ordered_sum(values), neumaier_sum(values)) == (0.0, 1.0)
+        assert ordered_sum([]) == 0.0
 
 
 class TestDirectIntegralNorm:
