@@ -51,14 +51,28 @@ LOWER_BOUND_SLACK = 1e-6
 HYPOTHESIS_TOL = 1e-9  # relative slack of the kernel-norm hypotheses of the criteria
 
 
-def _atom_norm(values: np.ndarray, kernel: OperatorKernel, p: float, k: float) -> float:
-    """The ell^k sum of values[t] * mu_t^(-1/p) over the atoms of T (the max
-    for k = inf); a zero value, as on an empty fiber, adds 0 without the
-    power, which overflows for a tiny mu_t and would make 0 * inf = NaN."""
-    nonzero = values != 0.0
-    x = np.zeros(values.size)
-    x[nonzero] = values[nonzero] * kernel.relation.target.weights[nonzero] ** (-1.0 / p)
-    return float(power_sums(x, k))
+def _atom_terms(values, ids, masses, p: float, what: str) -> np.ndarray:
+    """values[i] * mu_t^(-1/p) for the atom t = ids[i] of mass masses[i]: the
+    one evaluation of mu_t^(-1/p), in Python's float ``**`` (numpy's array
+    power rounds by its CPU dispatch).  A zero value gives 0 without the
+    power, which overflows for a tiny mu_t and would make 0 * inf = NaN; a
+    term whose power or product overflows raises, as the ``what`` of t."""
+    terms = np.zeros(len(ids))
+    for i, (t, v, mu) in enumerate(zip(ids, np.asarray(values).tolist(), np.asarray(masses).tolist())):
+        if v != 0.0:
+            try:
+                terms[i] = v * mu ** (-1.0 / p)
+            except OverflowError:
+                terms[i] = math.inf
+            if math.isinf(terms[i]):
+                raise NonFiniteResultError(f"{what} of atom {t!r} is not finite (overflow in the arithmetic)")
+    return terms
+
+
+def _atom_norm(values, kernel: OperatorKernel, p: float, k: float, what: str = "norm term") -> float:
+    """The ell^k sum of the ``_atom_terms`` of values over T (the max for k = inf)."""
+    T = kernel.relation.target
+    return float(power_sums(_atom_terms(values, T.ids, T.weights, p, what), k))
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,7 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     """
     p, q, k = exponent_pair(p, q)
     aggs = kernel._norm_sums(range(len(kernel.relation.target.ids)), q)
-    value = _atom_norm(np.array([a.value for a in aggs]), kernel, p, k)
+    value = _atom_norm([a.value for a in aggs], kernel, p, k)
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
 
 
@@ -187,30 +201,28 @@ def exact_norm_decoupled(kernel: OperatorKernel, p, q) -> NormResult:
     p, q, k = exponent_pair(p, q)
     T = kernel.relation.target
     effs = [fiber_effectiveness(kernel, t, q) for t in T.ids]
-    value = _atom_norm(np.array([e.value for e in effs]), kernel, p, k)
+    value = _atom_norm([e.value for e in effs], kernel, p, k)
     return NormResult(value, weakest_certificate(e.certificate for e in effs))
 
 
-def _phi_terms(kernel: OperatorKernel, ids, p: float, q: float, k: float) -> tuple[np.ndarray, str]:
+def _phi_terms(kernel: OperatorKernel, ids, p, q) -> tuple[np.ndarray, str]:
     """Phi({t}) = (c(t) mu_t^(-1/p))^kappa for each atom of ``ids``, in
     that order: the one definition every set-function value and
-    derivative is summed from; and the weakest certificate of those c(t)."""
+    derivative is summed from; and the weakest certificate of those c(t).
+    Undefined for p = q, where kappa is infinite."""
+    p, q, k = exponent_pair(p, q)
+    if math.isinf(k):
+        raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
-    terms = np.zeros(len(ids))
-    certificate = EXACT
-    for i, t in enumerate(ids):
-        eff = fiber_effectiveness(kernel, t, q)
-        if eff.certificate != EXACT:
-            certificate = eff.certificate
-        if (c := eff.value) == 0.0:
-            continue  # 0, whatever mu_t, as on an empty fiber
+    effs = [fiber_effectiveness(kernel, t, q) for t in ids]
+    what = "set function term"
+    terms = _atom_terms([e.value for e in effs], ids, [T.weight(t) for t in ids], p, what)
+    for i, (t, x) in enumerate(zip(ids, terms.tolist())):
         try:
-            terms[i] = (c * T.weight(t) ** (-1.0 / p)) ** k
+            terms[i] = x ** k
         except OverflowError:
-            raise NonFiniteResultError(
-                f"set function term of atom {t!r} is not finite (overflow in the arithmetic)"
-            ) from None
-    return terms, certificate
+            raise NonFiniteResultError(f"{what} of atom {t!r} is not finite (overflow in the arithmetic)") from None
+    return terms, weakest_certificate(e.certificate for e in effs)
 
 
 def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
@@ -222,15 +234,12 @@ def phi_value(kernel: OperatorKernel, subset, p, q) -> NormResult:
     the weakest of the c(t) over A, as ``exact_norm_decoupled``'s is
     over T.
     """
-    p, q, k = exponent_pair(p, q)
-    if math.isinf(k):
-        raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
     subset = frozenset(subset)
     unknown = [t for t in subset if t not in T]
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
-    terms, certificate = _phi_terms(kernel, sorted(subset), p, q, k)
+    terms, certificate = _phi_terms(kernel, sorted(subset), p, q)
     return NormResult(ordered_sum(terms), certificate)
 
 
@@ -265,11 +274,8 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
     atom order (as ``phi_value`` adds it), the derivative sum of a prefix
     in the order its blocks were inserted.
     """
-    p, q, k = exponent_pair(p, q)
-    if math.isinf(k):
-        raise UnsupportedExponentsError("p=q: set function undefined (kappa=inf)")
     T = kernel.relation.target
-    terms, _ = _phi_terms(kernel, T.ids, p, q, k)
+    terms, _ = _phi_terms(kernel, T.ids, p, q)
     phi_total = ordered_sum(terms)
     if not math.isfinite(phi_total):
         raise NonFiniteResultError(f"set function value {phi_total} is not finite (overflow in the arithmetic)")
@@ -310,22 +316,14 @@ def oracle_norm_sampling(
     depends only on f(t).  The magnitude profile is then optimized in
     closed form, as in ``exact_norm_decoupled`` with c~ for c(t).  On
     scalar fibers directions are just signs, so a single sample is
-    already exact.  The kernel keeps c~ per (q, seed, samples); only the
-    factors mu_t^(-1/p) are applied per call.
+    already exact.  The kernel keeps c~ per (q, seed, samples); each call
+    only aggregates it, through the decoupled norm's ``_atom_norm``.
     """
     p, q, k = exponent_pair(p, q)
     n = int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
-    T = kernel.relation.target
-    c = kernel.oracle_samples(q, seed, n)
-    factors = np.zeros(len(T.ids))  # mu_t^(-1/p); 0 where c~ is 0, whatever mu_t
-    for i, (t, w, nonzero) in enumerate(zip(T.ids, T.weights.tolist(), (c != 0.0).tolist())):
-        try:
-            factors[i] = w ** (-1.0 / p) if nonzero else 0.0
-        except OverflowError:
-            raise NonFiniteResultError(f"oracle factor of atom {t!r} is not finite (overflow in the arithmetic)") from None
-    return float(power_sums(c * factors, k))
+    return _atom_norm(kernel.oracle_samples(q, seed, n), kernel, p, k, "oracle factor")
 
 
 def section_ratios(
@@ -374,7 +372,6 @@ def sandwich_report(
     multi-dimensional fibers with incompatible maximizing directions it
     is legitimately false.
     """
-    p, q, _ = exponent_pair(p, q)
     lower = exact_norm_decoupled(kernel, p, q)
     upper = criterion_general_result(kernel, p, q)
     oracle = oracle_norm_sampling(kernel, p, q, oracle_samples, seed)

@@ -439,7 +439,8 @@ def _load(path) -> Scenario:
     del text  # decoded: only the tree is held, and each stage below takes its section out of it
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    if data.get("schema_version") != 1:
+    version = data.get("schema_version")
+    if type(version) is not int or version != 1:  # not true or 1.0, which equal 1 in Python
         raise ScenarioError(f"{path}: schema_version must be 1")
     sid = data.get("id")
     if not isinstance(sid, str) or not sid:

@@ -301,12 +301,28 @@ class TestNonFiniteCriteria:
         expected = {(2, 1): 1.7320508075688772e-154, (3, 2): 2.5873402367724796e-103}[pq]
         assert value == exact_norm_decoupled(ker, *pq).value == expected
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("compute", [criterion_general_result, exact_norm_decoupled])
-    def test_value_beyond_float_range_raises(self, compute):
-        # mu_t1 = 1e-320 and p = q = 1: the true value 1e320 is beyond the float range
-        with pytest.raises(NonFiniteResultError):
-            compute(_tiny_zero_atom_instance(1.0), 1, 1)
+    @pytest.mark.parametrize("compute, pq, message", [
+        (exact_norm_decoupled, (1, 1), "norm term"),
+        (criterion_general_result, (1, 1), "norm term"),
+        (lambda ker, p, q: criterion_uniform_bounds(ker, _tiny_graph(ker), 1.0, 1.0, p, q), (1, 1), "norm term"),
+        (lambda ker, p, q: oracle_norm_sampling(ker, p, q, 10), (1, 1), "oracle factor"),
+        (lambda ker, p, q: phi_value(ker, ["t1", "t2"], p, q), (1.01, 1), "set function term"),
+    ], ids=["exact_norm_decoupled", "criterion_general_result", "criterion_uniform_bounds",
+            "oracle_norm_sampling", "phi_value"])
+    def test_value_beyond_float_range_raises(self, compute, pq, message):
+        # mu_t1 = 1e-320 and a nonzero term at t1: mu_t1^(-1/p) overflows
+        with pytest.raises(NonFiniteResultError, match=f"^{message} of atom 't1' is not finite"):
+            compute(_tiny_zero_atom_instance(1.0), *pq)
+
+    @pytest.mark.parametrize("compute", [exact_norm_decoupled, criterion_general_result])
+    def test_product_beyond_float_range_raises(self, compute):
+        # mu_t1^(-1/2) = 1e150 is finite; times the value 1e200 it is not
+        S = FiniteMeasureSpace({"s1": 1.0})
+        T = FiniteMeasureSpace({"t1": 1e-300})
+        rel = WeightedRelation(S, T, [("s1", "t1", 1.0)])
+        ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[1e200]]})
+        with pytest.raises(NonFiniteResultError, match="^norm term of atom 't1' is not finite"):
+            compute(ker, 2, 2)
 
     def test_exact_norm_stays_finite(self):
         ker, _, _ = _huge_target_identity()
@@ -371,6 +387,12 @@ def _tiny_zero_atom_instance(entry: float = 0.0):
     T = FiniteMeasureSpace({"t1": 1e-320, "t2": 1.0})
     rel = WeightedRelation(S, T, [("s1", "t1", 1.0), ("s2", "t2", 1.0)])
     return OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[entry]], ("s2", "t2"): [[1.0]]})
+
+
+def _tiny_graph(kernel) -> AtomMap:
+    """The map s_i -> t_i whose graph is the relation of ``_tiny_zero_atom_instance``."""
+    rel = kernel.relation
+    return AtomMap(rel.source, rel.target, {"s1": "t1", "s2": "t2"})
 
 
 class TestEmptyFiberTerm:
@@ -723,6 +745,38 @@ class TestNormMetamorphic:
         assert both(_renamed(ker)) == pytest.approx(base, **close)
         norm, criterion = base
         assert criterion >= norm * (1.0 - 1e-12)
+
+
+def _reference_atom_norm(kernel, values, p, q) -> float:
+    """The decoupled aggregate as one loop over atoms: each value times a
+    Python-float mu_t^(-1/p), 0 for a zero value, through power_sums."""
+    T = kernel.relation.target
+    x = []
+    for t, v in zip(T.ids, values):
+        x.append(v * T.weight(t) ** (-1.0 / p) if v != 0.0 else 0.0)
+    return float(power_sums(x, kappa(p, q)))
+
+
+def _reference_norm_sum(kernel, t, q) -> float:
+    """(sum_{s in F_t} lam_st ||P(s, t)||^q)^(1/q), one fiber at a time."""
+    rel = kernel.relation
+    fiber = rel.fiber(t)
+    norms = [kernel.matrix_norm(*kernel.pairs[i]).value for i in fiber.tolist()]
+    return float(power_sums(np.array(norms), q, rel.weights[fiber]))
+
+
+class TestSharedAtomTerm:
+    # the norm and the criterion share the oracle's route: value * mu_t^(-1/p) in Python's float **
+    @pytest.mark.parametrize("p, q", [(p, q) for p in (1.0, 1.5, 2.0, 3.0, 4.0) for q in (1.0, 1.5, 2.0, 3.0, 4.0) if q <= p])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10**6), scalar=st.booleans())
+    def test_equals_reference_loop(self, p, q, seed, scalar):
+        ker = _phi_instance(seed, scalar)
+        T = ker.relation.target
+        effs = [fiber_effectiveness(ker, t, q).value for t in T.ids]
+        sums = [_reference_norm_sum(ker, t, q) for t in T.ids]
+        assert exact_norm_decoupled(ker, p, q).value == _reference_atom_norm(ker, effs, p, q)
+        assert criterion_general_result(ker, p, q).value == _reference_atom_norm(ker, sums, p, q)
 
 
 def _reference_oracle(kernel, p, q, n, seed):

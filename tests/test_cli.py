@@ -106,6 +106,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             load_scenario(_write(tmp_path, data))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "string"])
+    def test_schema_version_must_be_the_integer_one(self, tmp_path, version):
+        # True == 1 and 1.0 == 1 in Python, so an equality test alone lets them through
+        data = _minimal_scenario()
+        data["schema_version"] = version
+        with pytest.raises(ScenarioError, match="schema_version must be 1$"):
+            load_scenario(_write(tmp_path, data))
+
     def test_unknown_space_reference(self, tmp_path):
         data = _minimal_scenario()
         data["relations"]["lam"]["target"] = "Zed"
