@@ -5,17 +5,22 @@
 # decoupling reduction (per-atom direction problems + closed-form
 # magnitude profile).  A seeded sampling oracle corroborates from below.
 
+from pathlib import Path
+
 from mixedop import (
     criterion_general_result,
     exact_norm_decoupled,
     kappa,
+    load_scenario,
     oracle_norm_sampling,
     sandwich_report,
     section_ratios,
 )
-from mixedop.generators import projection_gap_instance, scalar17_instance
 
-ker = scalar17_instance()
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# Two scalar target atoms, one source atom, kernel values 1 and 2.
+ker = load_scenario(SCENARIOS / "scalar17.json").kernels["P"]
 
 # Scalar fibers: the equality regime.  With p=4, q=2 (kappa=4) both
 # sides equal 17^(1/4).
@@ -34,8 +39,9 @@ print("max ||Mf||/||f|| over 200 random sections:", ratios.max(),
 
 # The necessity gap: on multi-dimensional fibers the criterion can
 # exceed the true norm, because it lets every kernel pick its own best
-# direction.  Two orthogonal projections make this extreme.
-gap = projection_gap_instance()
+# direction.  Two orthogonal projections of one 2-d fiber make this
+# extreme.
+gap = load_scenario(SCENARIOS / "projection_gap.json").kernels["P"]
 rep = sandwich_report(gap, 2, 2, oracle_samples=2000, seed=2)
 print("\nprojection gap: lower =", rep.lower.value, " upper =", rep.upper.value,
       " equality =", rep.equality)

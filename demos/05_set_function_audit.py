@@ -5,10 +5,14 @@
 # additivity and monotonicity hold exactly and the derivative is the
 # per-atom summand divided by the atom's mass.
 
-from mixedop import exact_norm_decoupled, oracle_norm_sampling, phi_derivative, phi_value
-from mixedop.generators import random_partition, scalar17_instance
+from pathlib import Path
 
-ker = scalar17_instance()
+from mixedop import exact_norm_decoupled, load_scenario, oracle_norm_sampling, phi_derivative, phi_value
+from mixedop.generators import random_partition
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+ker = load_scenario(SCENARIOS / "scalar17.json").kernels["P"]
 T_ids = list(ker.relation.target.ids)
 p, q = 4, 2
 

@@ -3,11 +3,10 @@ measure spaces.
 
 A section f over the target atoms is sent to (s, t) -> P(s, t) f(t) on
 a weighted relation; the package computes the exact operator norm of
-that map through a decoupling reduction, evaluates every boundedness
-criterion (general relation, t-uniform kernel norms, graphs of
-injective maps, two-sided norm bounds, and mixed-norm composition
-operators), and cross-validates criteria against sampling and grid
-oracles.
+that map through a decoupling reduction, evaluates the boundedness
+criteria (general relation, graphs of injective maps, two-sided norm
+bounds, and mixed-norm composition operators), and cross-validates
+criteria against sampling and grid oracles.
 """
 
 from .boundedness import (
@@ -15,7 +14,6 @@ from .boundedness import (
     criterion_general_result,
     criterion_graph_result,
     criterion_uniform_bounds,
-    criterion_uniform_t,
     exact_norm_decoupled,
     oracle_norm_sampling,
     phi_derivative,
@@ -44,7 +42,6 @@ from .fibers import (
     Section,
     direct_integral_norm,
     fiber_norm,
-    scalar_family,
 )
 from .kernels import (
     EXACT,
@@ -52,7 +49,6 @@ from .kernels import (
     NormResult,
     OperatorKernel,
     apply_mixed,
-    apply_weighted_composition,
     direction_grid_oracle,
     effectiveness_objective,
     fiber_effectiveness,
@@ -76,13 +72,11 @@ from .measure import (
 from .mixedcomp import (
     MixedDomain,
     SplitMapping,
-    compose_apply,
     criterion_mixed_composition,
     direct_integral_instance,
     grid_section,
     mixed_as_direct_integral,
     mixed_norm,
-    mixed_product_density_norm,
     slice_volume_derivatives,
 )
 from .scenario import Check, Scenario, load_scenario

@@ -42,7 +42,7 @@ from .kernels import (
     fiber_effectiveness,
     weakest_certificate,
 )
-from .measure import AtomMap, DensityFn
+from .measure import AtomMap
 from .rng import SECTION_TAG, substream
 
 EQUALITY_TOL = 1e-9
@@ -103,28 +103,6 @@ def criterion_general_result(kernel: OperatorKernel, p, q) -> NormResult:
     aggs = kernel._norm_sums(range(len(kernel.relation.target.ids)), q)
     value = _atom_norm([a.value for a in aggs], kernel, p, k)
     return NormResult(value, weakest_certificate(a.certificate for a in aggs))
-
-
-def criterion_uniform_t(kernel: OperatorKernel, rho: DensityFn, p, q) -> NormResult:
-    """Criterion when the kernel norm depends on t alone: ||rho J^(1/q)||_{L^kappa(T)}.
-
-    The hypothesis ||P(s, t)|| = rho(t) is verified across every fiber
-    F_t within HYPOTHESIS_TOL.  Under it the general criterion's inner
-    term is rho(t)^q lam_t / mu_t = rho(t)^q J(t), J the marginal density,
-    so the result is the general criterion's, certificate included.
-    """
-    exponent_pair(p, q)
-    T = kernel.relation.target
-    for t in T.ids:
-        if t not in rho:
-            raise UnknownAtomError(f"rho not defined on atom {t!r}")
-    for (s, t) in kernel.relation.pairs:
-        got = kernel.matrix_norm(s, t).value
-        if not (abs(got - rho[t]) <= HYPOTHESIS_TOL * max(1.0, rho[t])):
-            raise HypothesisViolationError(
-                f"||P({s!r}, {t!r})|| = {got:.12g} differs from rho({t!r}) = {rho[t]:.12g}"
-            )
-    return criterion_general_result(kernel, p, q)
 
 
 def _require_graph(kernel: OperatorKernel, psi: AtomMap) -> None:

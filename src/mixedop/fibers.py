@@ -199,11 +199,6 @@ class FiberFamily:
         return f"FiberFamily({len(dims)} fibers, dims {min(dims, default=0)}..{max(dims, default=0)})"
 
 
-def scalar_family(base: FiniteMeasureSpace, r: float = 2.0) -> FiberFamily:
-    """All-scalar fibers with unit weight; the classical Lebesgue case."""
-    return FiberFamily(base, {i: NormSpec(r, [1.0]) for i in base.ids})
-
-
 def direct_integral_norm(f: Section, fam: FiberFamily, p) -> float:
     """|| f || = (sum_t mu_t ||f(t)||_t^p)^(1/p);  max over atoms for p = inf."""
     p = check_exponent(p)

@@ -1,9 +1,9 @@
 """Operator-valued kernels on weighted relations.
 
-Covers application of the mixed operator and of the weighted
-composition operator, induced matrix norms between weighted r-norm
-spaces, and the per-atom direction optimization ("fiber effectiveness")
-that the decoupled operator norm is assembled from.
+Covers application of the mixed operator, induced matrix norms between
+weighted r-norm spaces, and the per-atom direction optimization
+("fiber effectiveness") that the decoupled operator norm is assembled
+from.
 
 Induced r -> r' norms are NP-hard in general; outside the closed-form
 branches the optimizer returns an honest ``lower_bound`` certificate,
@@ -39,7 +39,7 @@ from .fibers import (
     lp_measure_norm,
     power_sums,
 )
-from .measure import AtomMap, WeightedRelation
+from .measure import WeightedRelation
 from .rng import ORACLE_TAG, START_TAG, substream
 
 INF = math.inf
@@ -515,22 +515,6 @@ def output_norm(kernel: OperatorKernel, g: Mapping[tuple[str, str], np.ndarray],
          for (s, t) in kernel.pairs]
     )
     return lp_measure_norm(vals, kernel.relation.weights, q)
-
-
-def apply_weighted_composition(kernel: OperatorKernel, psi: AtomMap, f: Section) -> Section:
-    """The weighted composition operator: s -> P(s, psi(s)) f(psi(s)).
-
-    Coincides with the mixed operator on the graph relation composed
-    with the isomorphism g(s) = g(s, psi(s)).
-    """
-    kernel.domain_family.validate_section(f)
-    out = {}
-    for s in kernel.relation.source.ids:
-        t = psi(s)
-        if (s, t) not in kernel.relation:
-            raise MissingPairError(f"pair ({s!r}, {t!r}) not in the kernel's relation")
-        out[s] = kernel.matrix(s, t) @ f[t]
-    return Section(out)
 
 
 # ---------------------------------------------------------------------------

@@ -189,18 +189,6 @@ class SplitMapping:
         return f"SplitMapping({len(self.domain)} cells -> {len(self.codomain)} cells)"
 
 
-def compose_apply(
-    f: Mapping[tuple[str, str], float], phi: SplitMapping
-) -> dict[tuple[str, str], float]:
-    """The composition operator: (C_phi f)(s, x) = f(psi(s), u_s(x)).
-
-    Well-definedness is automatic on atomic grids (every nonempty set
-    has positive measure, so the Luzin N^-1 condition is vacuous).
-    """
-    _require_defined(f, phi.codomain)
-    return {(s, x): float(f[phi(s, x)]) for (s, x) in phi.domain.cells}
-
-
 def slice_volume_derivatives(phi: SplitMapping) -> tuple[DensityFn, DensityFn]:
     """Volume derivatives (J_psi on T, J_u on the codomain cells).
 
@@ -263,20 +251,6 @@ def criterion_mixed_composition(phi: SplitMapping, p, q, alpha, beta) -> NormRes
     if not math.isfinite(value):
         raise NonFiniteResultError(f"mixed composition criterion {value} is not finite (overflow in the arithmetic)")
     return NormResult(value, EXACT)
-
-
-def mixed_product_density_norm(phi: SplitMapping, p, q, alpha, beta) -> float:
-    """The same criterion computed the direct way: a mixed norm over the
-    codomain grid of J_psi^(1/q) J_u^(1/alpha).  Used as a two-route
-    consistency check for criterion_mixed_composition."""
-    _, q, k_out = exponent_pair(p, q)
-    alpha, k_in = _slice_pair(alpha, beta)
-    J_psi, J_u = slice_volume_derivatives(phi)
-    g = {
-        (t, y): J_psi[t] ** (1.0 / q) * J_u[(t, y)] ** (1.0 / alpha)
-        for (t, y) in phi.codomain.cells
-    }
-    return mixed_norm(g, phi.codomain, k_out, k_in)
 
 
 def direct_integral_instance(

@@ -188,15 +188,18 @@ def _entries(cfg: dict, key: str, where: str, form: str, third: type) -> list:
     return out
 
 
-def _load_relations(data: dict, spaces: dict) -> dict[str, WeightedRelation]:
-    out = {}
+def _load_relations(data: dict, spaces: dict) -> tuple[dict[str, WeightedRelation], dict[str, set]]:
+    """The relations by name, and the pairs that each one drops for weight 0
+    (a pair also listed with a positive weight is kept)."""
+    out, zero = {}, {}
     for name, cfg, where in _blocks(data, "relations"):
         with _at(where):
             source = _ref(cfg, "source", spaces, "space", where)
             target = _ref(cfg, "target", spaces, "space", where)
             pairs = _entries(cfg, "pairs", where, "pair entries are [s, t, weight]", float)
-            out[name] = WeightedRelation(source, target, pairs)
-    return out
+            rel = out[name] = WeightedRelation(source, target, pairs)
+            zero[name] = {(s, t) for s, t, w in pairs if w == 0 and (s, t) not in rel}
+    return out, zero
 
 
 def _load_families(data: dict, spaces: dict) -> dict[str, FiberFamily]:
@@ -294,7 +297,7 @@ def _non_number(value: Any) -> Any:
     return None
 
 
-def _load_kernels(data: dict, relations: dict, families: dict) -> dict[str, OperatorKernel]:
+def _load_kernels(data: dict, relations: dict, zero: dict, families: dict) -> dict[str, OperatorKernel]:
     out = {}
     for name, cfg, where in _blocks(data, "kernels"):
         with _at(where):
@@ -302,6 +305,8 @@ def _load_kernels(data: dict, relations: dict, families: dict) -> dict[str, Oper
             dom = _ref(cfg, "domain", families, "family", where)
             codom = _ref(cfg, "codomain", families, "family", where)
             mats = _kernel_matrices(cfg, relation, dom, codom, where)
+            for pair in zero[cfg["relation"]]:  # the relation dropped these pairs, so their matrices go too
+                mats.pop(pair, None)
             out[name] = OperatorKernel(relation, dom, codom, mats)
     return out
 
@@ -446,9 +451,9 @@ def _load(path) -> Scenario:
     if not isinstance(sid, str) or not sid:
         raise ScenarioError(f"{path}: nonempty string 'id' required")
     spaces = _load_spaces(data)
-    relations = _load_relations(data, spaces)
+    relations, zero = _load_relations(data, spaces)
     families = _load_families(data, spaces)
-    kernels = _load_kernels(data, relations, families)
+    kernels = _load_kernels(data, relations, zero, families)
     mappings = _load_mappings(data, spaces)
     densities = _load_densities(data, spaces)
     mixed = _load_mixed(data, spaces)

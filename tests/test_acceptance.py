@@ -27,25 +27,28 @@ from mixedop import (
     phi_derivative,
     phi_value,
     sandwich_report,
-    scalar_family,
     section_ratios,
 )
 from mixedop.cli import main
 from mixedop.generators import (
-    identity_instance,
-    projection_gap_instance,
-    random_atom_map,
     random_density,
-    random_graph_instance,
-    random_instance,
     random_measure_space,
-    random_noninjective_atom_map,
     random_partition,
-    random_scalar_instance,
     random_split_mapping,
-    random_subset,
 )
 from mixedop.rng import substream
+
+from builders import (
+    bundled_kernel,
+    identity_instance,
+    random_atom_map,
+    random_graph_instance,
+    random_instance,
+    random_noninjective_atom_map,
+    random_scalar_instance,
+    random_subset,
+    scalar_family,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -105,7 +108,7 @@ def test_02_criterion_dominates_random_sections():
 
 
 def test_03_necessity_gap_exhibit():
-    ker = projection_gap_instance()
+    ker = bundled_kernel("projection_gap")
     rep = sandwich_report(ker, 2, 2, 2000, seed=0)
     assert abs(rep.lower.value - 1.0) <= 1e-6
     assert abs(rep.upper.value - math.sqrt(2.0)) <= 1e-12

@@ -26,7 +26,6 @@ from mixedop import (
     criterion_general_result,
     criterion_graph_result,
     criterion_uniform_bounds,
-    criterion_uniform_t,
     exact_norm_decoupled,
     fiber_effectiveness,
     graph_relation,
@@ -35,40 +34,39 @@ from mixedop import (
     phi_derivative,
     phi_value,
     sandwich_report,
-    scalar_family,
     section_ratios,
 )
 from mixedop import boundedness, kernels, mixedcomp
 from mixedop.boundedness import phi_audit_violation
 from mixedop.fibers import lp_measure_norm, power_sums
 from mixedop.kernels import effectiveness_objective
-from mixedop.generators import (
-    identity_instance,
-    projection_gap_instance,
-    random_graph_instance,
-    random_instance,
-    random_partition,
-    random_scalar_instance,
-    random_split_mapping,
-    random_subset,
-    scalar17_instance,
-)
+from mixedop.generators import random_partition, random_split_mapping
 from mixedop.rng import GENERATOR_TAG, ORACLE_TAG, substream
 
+from builders import (
+    bundled_kernel,
+    identity_instance,
+    random_graph_instance,
+    random_instance,
+    random_scalar_instance,
+    random_subset,
+    scalar_family,
+)
 from helpers import loop_sum, neumaier_sum, scalar_ratio_brute
+from references import criterion_uniform_t
 
 ROOT17 = 17.0 ** 0.25
 
 
 class TestCriterionGeneral:
     def test_scalar_p4_q2(self):
-        assert criterion_general_result(scalar17_instance(), 4, 2).value == pytest.approx(ROOT17, rel=1e-15)
+        assert criterion_general_result(bundled_kernel("scalar17"), 4, 2).value == pytest.approx(ROOT17, rel=1e-15)
 
     def test_scalar_p_equals_q(self):
-        assert criterion_general_result(scalar17_instance(), 2, 2).value == pytest.approx(2.0, rel=1e-15)
+        assert criterion_general_result(bundled_kernel("scalar17"), 2, 2).value == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_kernel(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         zero = OperatorKernel(
             ker.relation,
             ker.domain_family,
@@ -79,7 +77,7 @@ class TestCriterionGeneral:
 
     def test_rejects_p_less_than_q(self):
         with pytest.raises(UnsupportedExponentsError):
-            criterion_general_result(scalar17_instance(), 2, 4)
+            criterion_general_result(bundled_kernel("scalar17"), 2, 4)
 
 
 class TestCriterionUniformT:
@@ -102,7 +100,7 @@ class TestCriterionUniformT:
         assert criterion_uniform_t(big, rho_big, 2, 2).value == pytest.approx(1.0, rel=1e-15)
 
     def test_agrees_with_general(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         rho = DensityFn({"t1": 1.0, "t2": 2.0})
         got = criterion_uniform_t(ker, rho, 4, 2).value
         assert got == pytest.approx(criterion_general_result(ker, 4, 2).value, rel=1e-12)
@@ -331,7 +329,7 @@ class TestNonFiniteCriteria:
 
 class TestExactNormDecoupled:
     def test_scalar_17_matches_brute_force(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         res = exact_norm_decoupled(ker, 4, 2)
         assert res.certificate == EXACT
         assert res.value == pytest.approx(ROOT17, rel=1e-15)
@@ -343,7 +341,7 @@ class TestExactNormDecoupled:
         assert exact_norm_decoupled(ker, 2, 2).value == 1.0
 
     def test_projection_gap(self):
-        ker = projection_gap_instance()
+        ker = bundled_kernel("projection_gap")
         res = exact_norm_decoupled(ker, 2, 2)
         upper = criterion_general_result(ker, 2, 2).value
         assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -432,25 +430,25 @@ class TestZeroFiberTerm:
 
 class TestPhi:
     def test_scalar_17_values(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         assert phi_value(ker, ["t1"], 4, 2).value == pytest.approx(1.0, rel=1e-15)
         assert phi_value(ker, ["t2"], 4, 2).value == pytest.approx(16.0, rel=1e-15)
         assert phi_value(ker, ["t1", "t2"], 4, 2).value == pytest.approx(17.0, rel=1e-15)
 
     def test_empty_subset(self):
-        assert phi_value(scalar17_instance(), [], 4, 2).value == 0.0
+        assert phi_value(bundled_kernel("scalar17"), [], 4, 2).value == 0.0
 
     def test_monotone(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         assert phi_value(ker, ["t1"], 4, 2).value <= phi_value(ker, ["t1", "t2"], 4, 2).value
 
     def test_p_equals_q_rejected(self):
         with pytest.raises(UnsupportedExponentsError):
-            phi_value(scalar17_instance(), ["t1"], 2, 2)
+            phi_value(bundled_kernel("scalar17"), ["t1"], 2, 2)
 
     def test_restricted_oracle_cross_check(self):
         # Phi(A) equals the sampled norm of the restricted instance, to kappa
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         for subset in (["t1"], ["t2"], ["t1", "t2"]):
             restricted = ker.restrict_targets(subset)
             sampled = oracle_norm_sampling(restricted, 4, 2, 32, seed=5)
@@ -468,18 +466,18 @@ class TestPhi:
 
 class TestPhiDerivative:
     def test_scalar_17(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         assert phi_derivative(ker, "t1", 4, 2) == pytest.approx(1.0, rel=1e-15)
         assert phi_derivative(ker, "t2", 4, 2) == pytest.approx(16.0, rel=1e-15)
 
     def test_integrates_back_to_total(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         T = ker.relation.target
         total = sum(phi_derivative(ker, t, 4, 2) * T.weight(t) for t in T.ids)
         assert total == pytest.approx(17.0, rel=1e-15)
 
     def test_rescaled_atom(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         T2 = FiniteMeasureSpace({"t1": 2.0, "t2": 1.0})
         S = ker.relation.source
         rel = WeightedRelation(S, T2, [(s, t, w) for s, t, w in ker.relation.items()])
@@ -590,11 +588,11 @@ class TestPhiAudit:
 
     def test_p_equals_q_rejected(self):
         with pytest.raises(UnsupportedExponentsError):
-            phi_audit_violation(scalar17_instance(), 2, 2, 5, 0)
+            phi_audit_violation(bundled_kernel("scalar17"), 2, 2, 5, 0)
 
     def test_unknown_atom_rejected(self):
         with pytest.raises(UnknownAtomError, match=r"unknown atoms \['zz'\]"):
-            phi_value(scalar17_instance(), ["t1", "zz"], 4, 2)
+            phi_value(bundled_kernel("scalar17"), ["t1", "zz"], 4, 2)
 
     @pytest.mark.parametrize("p, q, reason", [
         (2, 2, "p=q: set function undefined (kappa=inf)"),
@@ -604,9 +602,9 @@ class TestPhiAudit:
     def test_refusal_is_the_rejected_reason(self, p, q, reason):
         anchored = f"^{re.escape(reason)}$"
         with pytest.raises(UnsupportedExponentsError, match=anchored):
-            phi_value(scalar17_instance(), ["t1"], p, q)
+            phi_value(bundled_kernel("scalar17"), ["t1"], p, q)
         with pytest.raises(UnsupportedExponentsError, match=anchored):
-            phi_audit_violation(scalar17_instance(), p, q, 5, 0)
+            phi_audit_violation(bundled_kernel("scalar17"), p, q, 5, 0)
 
 
 class TestSummationOrder:
@@ -905,7 +903,7 @@ class TestOracle:
         assert oracle_norm_sampling(ker, 2, 2, 64, seed=9) == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_exactness(self):
-        ker = scalar17_instance()
+        ker = bundled_kernel("scalar17")
         got = oracle_norm_sampling(ker, 4, 2, 10, seed=123)
         assert got == pytest.approx(ROOT17, rel=1e-12)
 
@@ -948,13 +946,13 @@ class TestSufficiency:
 
 class TestSandwichReport:
     def test_scalar_equality(self):
-        rep = sandwich_report(scalar17_instance(), 4, 2, 100, seed=1)
+        rep = sandwich_report(bundled_kernel("scalar17"), 4, 2, 100, seed=1)
         assert rep.equality
         assert rep.lower.value == pytest.approx(ROOT17, rel=1e-12)
         assert rep.upper.value == pytest.approx(ROOT17, rel=1e-12)
 
     def test_projection_gap_reports_gap(self):
-        rep = sandwich_report(projection_gap_instance(), 2, 2, 500, seed=2)
+        rep = sandwich_report(bundled_kernel("projection_gap"), 2, 2, 500, seed=2)
         assert not rep.equality
         assert rep.lower.value == pytest.approx(1.0, abs=1e-6)
         assert rep.upper.value == pytest.approx(math.sqrt(2.0), rel=1e-12)

@@ -14,8 +14,9 @@ import pytest
 import mixedop
 from mixedop import MixedOpError, ScenarioError, cli, load_scenario
 from mixedop.cli import COLUMNS, STATUS_VIOLATION, _finish, _row, main, run
-from mixedop.generators import scalar17_instance
 from mixedop.kernels import ORACLE_MAX_ENTRIES
+
+from builders import bundled_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -831,7 +832,7 @@ class TestOracleBound:
         assert capsys.readouterr().err.startswith("mixedop: error: the sampling oracle needs")
 
     def test_bound_counts_target_atoms(self):
-        kernel = scalar17_instance()  # two target atoms
+        kernel = bundled_kernel("scalar17")  # two target atoms
         with pytest.raises(MixedOpError, match="sampling oracle"):
             kernel.oracle_samples(2.0, 0, ORACLE_MAX_ENTRIES // 2 + 1)
         assert kernel.oracle_samples(2.0, 0, 1000).shape == (2,)
@@ -1110,6 +1111,41 @@ class TestLoaderMessages:
         assert main(["run", _edited(tmp_path, "graph_swap", path, 1.0), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "mixedop: input error: densities.f: values name unknown atom 'zz'\n"
         assert not out.exists()
+
+
+class TestZeroWeightPairs:
+    """A relation drops its pairs of weight 0, and the loader drops their
+    matrices with them: such a file runs as if the pair and its matrix
+    were left out."""
+
+    @pytest.mark.parametrize("weight", [0.0, 0, -0.0])
+    def test_matrix_of_a_dropped_pair_is_dropped_too(self, tmp_path, capsys, weight):
+        data = json.loads((SCENARIOS / "scalar17.json").read_text())
+        data["relations"]["lam"]["pairs"][0][2] = weight
+        zero = _write(tmp_path, data, "zero.json")
+        del data["relations"]["lam"]["pairs"][0]
+        del data["kernels"]["P"]["matrices"][0]
+        omitted = _write(tmp_path, data, "omitted.json")
+        assert main(["run", zero, "--out", str(tmp_path / "zero.csv")]) == 0
+        assert main(["run", omitted, "--out", str(tmp_path / "omitted.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "omitted.csv").read_bytes()
+
+    def test_pair_also_listed_with_a_positive_weight_keeps_its_matrix(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "scalar17.json").read_text())
+        data["relations"]["lam"]["pairs"].insert(0, ["s1", "t1", 0.0])
+        out = tmp_path / "out.csv"
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == (BUNDLED_REFS / "scalar17.csv").read_bytes()
+
+    def test_matrix_of_an_unlisted_pair_is_still_refused(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "scalar17.json").read_text())
+        data["relations"]["lam"]["pairs"] = [["s1", "t1", 0.0]]
+        assert main(["run", _write(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == (
+            "mixedop: input error: kernels.P: matrices given for pairs outside the relation: [('s1', 't2')]\n"
+        )
 
 
 class TestExponentRange:

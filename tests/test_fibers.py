@@ -21,11 +21,11 @@ from mixedop import (
     grid_section,
     mixed_as_direct_integral,
     mixed_norm,
-    scalar_family,
 )
 from mixedop.fibers import lp_measure_norm, ordered_sum, power_sums
 from mixedop.rng import substream
 
+from builders import scalar_family
 from helpers import loop_sum, neumaier_sum, product_lq_norm, weighted_norm_reference
 
 EXPONENT_POOL = (1.0, 1.5, 2.0, 3.0, INF)

@@ -25,7 +25,6 @@ from mixedop import (
     UnsupportedExponentsError,
     WeightedRelation,
     apply_mixed,
-    apply_weighted_composition,
     direction_grid_oracle,
     effectiveness_objective,
     fiber_effectiveness,
@@ -35,19 +34,10 @@ from mixedop import (
     matrix_operator_norm,
     output_norm,
     pointwise_norm_aggregate,
-    scalar_family,
 )
 from mixedop.boundedness import criterion_general_result
 from mixedop.kernels import exponent_pair
-from mixedop.generators import (
-    identity_instance,
-    projection_gap_instance,
-    random_atom_map,
-    random_fiber_family,
-    random_instance,
-    random_kernel,
-    random_measure_space,
-)
+from mixedop.generators import random_measure_space
 from mixedop.fibers import lp_measure_norm, power_sums
 from mixedop.kernels import (
     ASCENT_ITERATIONS,
@@ -65,7 +55,17 @@ from mixedop.kernels import (
 )
 from mixedop.rng import substream
 
+from builders import (
+    bundled_kernel,
+    identity_instance,
+    random_atom_map,
+    random_fiber_family,
+    random_instance,
+    random_kernel,
+    scalar_family,
+)
 from helpers import circle_max_oracle, svd_norm_oracle, vertex_norm_oracle
+from references import apply_weighted_composition
 
 # frozen from the singular-value oracle (svd of [[1,2],[3,4]])
 SIGMA_MAX_1234 = 5.464985704219043
@@ -429,7 +429,7 @@ class TestFiberEffectiveness:
         assert res.certificate == EXACT
 
     def test_projection_gap_against_circle_oracle(self):
-        ker = projection_gap_instance()
+        ker = bundled_kernel("projection_gap")
         res = fiber_effectiveness(ker, "t1", 2)
         agg = pointwise_norm_aggregate(ker, "t1", 2)
         assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -511,7 +511,7 @@ class TestFiberEffectiveness:
             assert res.value >= oracle * (1 - 1e-6) - 1e-12
 
     def test_scaling_is_exact(self):
-        ker = projection_gap_instance()
+        ker = bundled_kernel("projection_gap")
         base = fiber_effectiveness(ker, "t1", 2).value
         scaled = fiber_effectiveness(ker.scaled(3.0), "t1", 2).value
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)

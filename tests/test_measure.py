@@ -20,12 +20,9 @@ from mixedop import (
     pushforward_volume_derivative,
     radon_nikodym,
 )
-from mixedop.generators import (
-    random_atom_map,
-    random_density,
-    random_measure_space,
-    random_relation,
-)
+from mixedop.generators import random_density, random_measure_space
+
+from builders import random_atom_map, random_relation
 
 
 class TestFiniteMeasureSpace:

@@ -16,7 +16,6 @@ from mixedop import (
     SplitMapping,
     UnknownAtomError,
     UnsupportedExponentsError,
-    compose_apply,
     criterion_general_result,
     criterion_graph_result,
     criterion_mixed_composition,
@@ -26,11 +25,12 @@ from mixedop import (
     grid_section,
     mixed_as_direct_integral,
     mixed_norm,
-    mixed_product_density_norm,
     slice_volume_derivatives,
 )
 from mixedop.generators import random_split_mapping
 from mixedop.rng import substream
+
+from references import compose_apply, mixed_product_density_norm
 
 EXPONENT_GRID = [
     (2.0, 1.0, 1.0, 2.0),
