@@ -146,6 +146,9 @@ class OperatorKernel:
         if codomain_family.base != relation.source:
             raise UnknownAtomError("codomain family must live over the relation's source space")
         pairs = relation.pairs
+        if relation.dropped:  # the relation left these pairs out for weight 0, and their matrices go with them
+            dropped = set(relation.dropped)
+            matrices = {k: m for k, m in matrices.items() if k not in dropped}
         absent = object()
         given = list(map(matrices.get, pairs, repeat(absent)))  # in pair order
         # keys are distinct: as many as the pairs, all found, is the same set
@@ -162,9 +165,14 @@ class OperatorKernel:
         width = int(in_dim.max(initial=0)) + 1
         shapes, group = np.unique(out_dims * width + in_dims, return_inverse=True)
         try:
-            # matrices as rows of numbers: all entries converted in one call, in pair order
+            # matrices as rows of numbers: all entries converted in one call, in pair order;
+            # numpy would read "3" as 3.0 and True as 1.0, so those go to the walk below
             rows = list(chain.from_iterable(given))
-            flat = np.array(list(chain.from_iterable(rows)), dtype=float)
+            entries = list(chain.from_iterable(rows))
+            if any(issubclass(kind, (bool, np.bool_, str)) for kind in set(map(type, entries))):
+                raise ValueError
+            flat = np.array(entries, dtype=float)
+            del entries  # one pointer per entry: not held while the stacks are built
             if not (flat.ndim == 1 and np.array_equal(np.fromiter(map(len, given), np.intp, len(given)), out_dims)
                     and np.array_equal(np.fromiter(map(len, rows), np.intp, len(rows)), np.repeat(in_dims, out_dims))
                     and np.isfinite(flat).all()):
@@ -340,15 +348,6 @@ class OperatorKernel:
         values = self._fiber_sums(targets, norms, q).tolist()
         return [NormResult(v, LOWER_BOUND if weak else EXACT) for v, weak in zip(values, lower[F].any(axis=1).tolist())]
 
-    def effectiveness(self, t_id: str, q: float) -> NormResult:
-        """c(t) at a validated finite q (cached); a miss solves every
-        target of the kernel at this q (``_solve_effectiveness``)."""
-        u = self.relation.target.index(t_id)
-        results = self._eff_cache.get(q)
-        if results is None:
-            results = self._eff_cache[q] = self._solve_effectiveness(q)
-        return results[u]
-
     def _solve_effectiveness(self, q: float) -> list[NormResult]:
         """c(t) at q for every target, in ``T.ids`` order.
 
@@ -445,15 +444,6 @@ class OperatorKernel:
             self._sample_cache[key] = c
         return c
 
-    def scaled(self, factor: float) -> "OperatorKernel":
-        """A new kernel with every matrix multiplied by ``factor``."""
-        return OperatorKernel(
-            self.relation,
-            self.domain_family,
-            self.codomain_family,
-            {k: factor * self.matrix(*k) for k in self.pairs},
-        )
-
     def restrict_targets(self, keep) -> "OperatorKernel":
         """Sub-instance keeping only pairs whose target atom is in ``keep``."""
         rel = self.relation.restrict_targets(keep)
@@ -484,10 +474,13 @@ def _atoms(family: FiberFamily) -> tuple[np.ndarray, np.ndarray, dict[int, np.nd
 
 
 def _one_matrix(m, pair: tuple[str, str], shape: tuple[int, int]) -> np.ndarray:
-    """One matrix as ``np.atleast_2d`` reads it, checked against its shape
-    and for finite entries; every failure is a ValueError (ragged rows
-    raise numpy's own)."""
+    """One matrix as ``np.atleast_2d`` reads it, checked for bool and
+    string entries, against its shape and for finite entries; every
+    failure is a ValueError (ragged rows raise numpy's own)."""
     where = f"matrix at ({pair[0]!r}, {pair[1]!r})"
+    bad = _non_number(m)
+    if bad is not None:
+        raise ValueError(f"{where} has entry {bad!r}, not a number")
     try:
         a = np.atleast_2d(np.asarray(m, dtype=float))
     except TypeError:  # an entry that is neither a number nor a sequence
@@ -499,6 +492,21 @@ def _one_matrix(m, pair: tuple[str, str], shape: tuple[int, int]) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{where} has a non-finite entry")
     return a
+
+
+def _non_number(value):
+    """The first bool or string among the leaves of nested lists and
+    arrays, else None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, list):
+        for item in value:
+            bad = _non_number(item)
+            if bad is not None:
+                return bad
+    return None
 
 
 def apply_mixed(kernel: OperatorKernel, f: Section) -> dict[tuple[str, str], np.ndarray]:
@@ -746,9 +754,12 @@ def effectiveness_objective(
     """Vectorized c_t evaluator over rows of unit W_t directions.
 
     Feeds both the sampling oracle and the grid cross-checks, so every
-    route optimizes literally the same function.
+    route optimizes literally the same function.  Finite q only, as for
+    ``fiber_effectiveness``.
     """
     q = check_exponent(q)
+    if math.isinf(q):
+        raise UnsupportedExponentsError("fiber effectiveness needs finite q")
     fiber = kernel.relation.fiber(t_id).tolist()
     mats = [kernel._matrix(i) for i in fiber]
     outs = [kernel.codomain_family.norm(kernel.pairs[i][0]) for i in fiber]
@@ -781,7 +792,11 @@ def fiber_effectiveness(kernel: OperatorKernel, t_id: str, q) -> NormResult:
     q = check_exponent(q)
     if math.isinf(q):
         raise UnsupportedExponentsError("fiber effectiveness needs finite q")
-    return kernel.effectiveness(t_id, q)
+    u = kernel.relation.target.index(t_id)
+    results = kernel._eff_cache.get(q)
+    if results is None:
+        results = kernel._eff_cache[q] = kernel._solve_effectiveness(q)
+    return results[u]
 
 
 def pointwise_norm_aggregate(kernel: OperatorKernel, t_id: str, q) -> NormResult:

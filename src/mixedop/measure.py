@@ -27,20 +27,14 @@ class FiniteMeasureSpace:
 
     Parameters
     ----------
-    atoms : mapping id -> weight, or iterable of (id, weight) pairs
-        Ids must be distinct and weights strictly positive.  The stored
-        atom order is lexicographic by id regardless of input order.
+    atoms : mapping id -> weight
+        The keys are the ids, so they are distinct; weights must be
+        strictly positive.  The stored atom order is lexicographic by id
+        regardless of input order.
     """
 
-    def __init__(self, atoms: Mapping[str, float] | Iterable[tuple[str, float]]):
-        if isinstance(atoms, Mapping):
-            pairs = [(str(i), float(w)) for i, w in atoms.items()]
-        else:
-            pairs = [(str(i), float(w)) for i, w in atoms]
-        ids = [i for i, _ in pairs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate atom ids")
-        pairs.sort()
+    def __init__(self, atoms: Mapping[str, float]):
+        pairs = sorted((i, float(w)) for i, w in atoms.items())
         for i, w in pairs:
             if not w > 0 or not np.isfinite(w):
                 raise ValueError(f"atom {i!r} has invalid weight {w}")
@@ -72,13 +66,6 @@ class FiniteMeasureSpace:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def normalized(self) -> "FiniteMeasureSpace":
-        """Same atoms, weights rescaled to total mass 1."""
-        z = self.total_mass
-        if z == 0.0:
-            raise ValueError("cannot normalize an empty measure")
-        return FiniteMeasureSpace({i: w / z for i, w in self.items()})
 
     def restrict(self, keep: Iterable[str]) -> "FiniteMeasureSpace":
         """Sub-space on the given atom ids (all must exist)."""
@@ -187,8 +174,9 @@ class AtomMap:
 class WeightedRelation:
     """Atoms of F inside S x T, each with a strictly positive weight.
 
-    Zero-weight pairs are dropped at construction; negative weights and
-    duplicate pairs are rejected.  Pairs are kept sorted by (s_id, t_id),
+    A pair listed twice is rejected whatever its weights, and so is a
+    negative weight; pairs of weight 0 are then dropped, and ``dropped``
+    holds them in (s_id, t_id) order.  Pairs are kept sorted by (s_id, t_id),
     with ``src`` and ``tgt`` their positions in S.ids and T.ids; the fiber of
     T.ids[u] is ``order[start[u]:start[u] + size[u]]``, in s order.
     """
@@ -213,16 +201,19 @@ class WeightedRelation:
             if tgt[j] < 0:
                 raise UnknownAtomError(f"pair names unknown target atom {t_ids[j]!r}")
             raise ValueError(f"pair ({s_ids[j]!r}, {t_ids[j]!r}) has invalid weight {float(w[j])}")
-        src, tgt = src[keep], tgt[keep]
         sort = np.lexsort((tgt, src))  # ids are sorted: this is (s_id, t_id) order
-        src, tgt = src[sort], tgt[sort]
+        src, tgt, w, keep = src[sort], tgt[sort], w[sort], keep[sort]
         if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
             raise ValueError("duplicate (s, t) pairs")
         self.source = source
         self.target = target
         names = np.array(source.ids + target.ids, dtype=object)
+        self.dropped: tuple[tuple[str, str], ...] = tuple(
+            zip(names[src[~keep]].tolist(), names[len(source) + tgt[~keep]].tolist())
+        )
+        src, tgt = src[keep], tgt[keep]
         self.pairs: tuple[tuple[str, str], ...] = tuple(zip(names[src].tolist(), names[len(source) + tgt].tolist()))
-        self.weights: np.ndarray = _readonly(w[keep][sort])
+        self.weights: np.ndarray = _readonly(w[keep])
         self.src, self.tgt = _readonly(src), _readonly(tgt)
         self.size = _readonly(np.bincount(tgt, minlength=len(target)))
         self.order = _readonly(np.argsort(tgt, kind="stable"))

@@ -188,18 +188,15 @@ def _entries(cfg: dict, key: str, where: str, form: str, third: type) -> list:
     return out
 
 
-def _load_relations(data: dict, spaces: dict) -> tuple[dict[str, WeightedRelation], dict[str, set]]:
-    """The relations by name, and the pairs that each one drops for weight 0
-    (a pair also listed with a positive weight is kept)."""
-    out, zero = {}, {}
+def _load_relations(data: dict, spaces: dict) -> dict[str, WeightedRelation]:
+    out = {}
     for name, cfg, where in _blocks(data, "relations"):
         with _at(where):
             source = _ref(cfg, "source", spaces, "space", where)
             target = _ref(cfg, "target", spaces, "space", where)
             pairs = _entries(cfg, "pairs", where, "pair entries are [s, t, weight]", float)
-            rel = out[name] = WeightedRelation(source, target, pairs)
-            zero[name] = {(s, t) for s, t, w in pairs if w == 0 and (s, t) not in rel}
-    return out, zero
+            out[name] = WeightedRelation(source, target, pairs)
+    return out
 
 
 def _load_families(data: dict, spaces: dict) -> dict[str, FiberFamily]:
@@ -234,27 +231,14 @@ def _kernel_matrices(
     cfg: dict, relation: WeightedRelation, dom: FiberFamily, codom: FiberFamily, where: str
 ) -> dict:
     if "matrices" in cfg:
-        path = f"{where}.matrices"
         entries = _entries(cfg, "matrices", where, "matrix entries are [s, t, rows]", list)
-        mats = {(s, t): rows for s, t, rows in entries}  # converted once per shape, by OperatorKernel
+        mats = {(s, t): rows for s, t, rows in entries}  # checked and converted by OperatorKernel
         if len(mats) < len(entries):  # a pair given twice: name its later entry
             seen = set()
             for j, (s, t, _) in enumerate(entries):
                 if (s, t) in seen:
-                    raise ScenarioError(f"{path}[{j}]: duplicate matrix for pair {(s, t)!r}")
+                    raise ScenarioError(f"{where}.matrices[{j}]: duplicate matrix for pair {(s, t)!r}")
                 seen.add((s, t))
-        # numpy reads "3" as 3.0 and true as 1.0: the entries of matrices
-        # given as lists of rows are checked in one pass, and any other
-        # layout is walked entry by entry
-        try:
-            kinds = set(map(type, chain.from_iterable(chain.from_iterable(mats.values()))))
-        except TypeError:  # a row that is a number
-            kinds = {None}
-        if not kinds <= {int, float}:
-            for j, ((s, t), rows) in enumerate(mats.items()):
-                bad = _non_number(rows)
-                if bad is not None:
-                    raise ScenarioError(f"{path}[{j}]: matrix at ({s!r}, {t!r}) has entry {bad!r}, not a number")
         return mats
     at = f"{where}.generator"
     gen = _expect(cfg.get("generator", {}), dict, at)
@@ -285,29 +269,14 @@ def _kernel_matrices(
     return mats
 
 
-def _non_number(value: Any) -> Any:
-    """The first bool or string among the leaves of nested lists, else None."""
-    if isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, list):
-        for item in value:
-            bad = _non_number(item)
-            if bad is not None:
-                return bad
-    return None
-
-
-def _load_kernels(data: dict, relations: dict, zero: dict, families: dict) -> dict[str, OperatorKernel]:
+def _load_kernels(data: dict, relations: dict, families: dict) -> dict[str, OperatorKernel]:
     out = {}
     for name, cfg, where in _blocks(data, "kernels"):
         with _at(where):
             relation = _ref(cfg, "relation", relations, "relation", where)
             dom = _ref(cfg, "domain", families, "family", where)
             codom = _ref(cfg, "codomain", families, "family", where)
-            mats = _kernel_matrices(cfg, relation, dom, codom, where)
-            for pair in zero[cfg["relation"]]:  # the relation dropped these pairs, so their matrices go too
-                mats.pop(pair, None)
-            out[name] = OperatorKernel(relation, dom, codom, mats)
+            out[name] = OperatorKernel(relation, dom, codom, _kernel_matrices(cfg, relation, dom, codom, where))
     return out
 
 
@@ -451,9 +420,9 @@ def _load(path) -> Scenario:
     if not isinstance(sid, str) or not sid:
         raise ScenarioError(f"{path}: nonempty string 'id' required")
     spaces = _load_spaces(data)
-    relations, zero = _load_relations(data, spaces)
+    relations = _load_relations(data, spaces)
     families = _load_families(data, spaces)
-    kernels = _load_kernels(data, relations, zero, families)
+    kernels = _load_kernels(data, relations, families)
     mappings = _load_mappings(data, spaces)
     densities = _load_densities(data, spaces)
     mixed = _load_mixed(data, spaces)

@@ -1,6 +1,6 @@
 """Seeded builders of relations, fiber families, kernels, maps and whole
-instances for the tests, the all-scalar fiber family, and the bundled
-scenarios' kernels.
+instances for the tests, the all-scalar fiber family, the bundled
+scenarios' kernels, and rescaled copies of a kernel or a measure space.
 
 Every draw goes through ``rng.substream(seed, GENERATOR_TAG, *path)``
 as in ``mixedop.generators``, on paths that module does not use, so each
@@ -200,3 +200,21 @@ def identity_instance(n: int = 4, dim: int = 1) -> tuple[OperatorKernel, AtomMap
 def bundled_kernel(name: str) -> OperatorKernel:
     """Kernel ``P`` of the bundled scenario ``scenarios/<name>.json``."""
     return load_scenario(SCENARIOS / f"{name}.json").kernels["P"]
+
+
+def scaled(kernel: OperatorKernel, factor: float) -> OperatorKernel:
+    """A new kernel with every matrix multiplied by ``factor``."""
+    return OperatorKernel(
+        kernel.relation,
+        kernel.domain_family,
+        kernel.codomain_family,
+        {k: factor * kernel.matrix(*k) for k in kernel.pairs},
+    )
+
+
+def normalized(space: FiniteMeasureSpace) -> FiniteMeasureSpace:
+    """Same atoms, weights rescaled to total mass 1."""
+    z = space.total_mass
+    if z == 0.0:
+        raise ValueError("cannot normalize an empty measure")
+    return FiniteMeasureSpace({i: w / z for i, w in space.items()})

@@ -51,6 +51,7 @@ from builders import (
     random_scalar_instance,
     random_subset,
     scalar_family,
+    scaled,
 )
 from helpers import loop_sum, neumaier_sum, scalar_ratio_brute
 from references import criterion_uniform_t
@@ -629,16 +630,16 @@ class TestSummationOrder:
 
 def _scaled_lambda(ker, c: float):
     rel = ker.relation
-    scaled = WeightedRelation(rel.source, rel.target, [(s, t, c * w) for s, t, w in rel.items()])
-    return OperatorKernel(scaled, ker.domain_family, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
+    weighted = WeightedRelation(rel.source, rel.target, [(s, t, c * w) for s, t, w in rel.items()])
+    return OperatorKernel(weighted, ker.domain_family, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
 
 
 def _scaled_mu(ker, c: float):
     rel = ker.relation
     T = FiniteMeasureSpace({t: c * w for t, w in rel.target.items()})
-    scaled = WeightedRelation(rel.source, T, list(rel.items()))
+    moved = WeightedRelation(rel.source, T, list(rel.items()))
     W = FiberFamily(T, {t: ker.domain_family.norm(t) for t in T.ids})
-    return OperatorKernel(scaled, W, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
+    return OperatorKernel(moved, W, ker.codomain_family, {pr: ker.matrix(*pr) for pr in rel.pairs})
 
 
 @settings(max_examples=40, deadline=None)
@@ -739,7 +740,7 @@ class TestNormMetamorphic:
         close = dict(rel=1e-12, abs=0.0)
         assert both(_scaled_lambda(ker, c)) == pytest.approx(c ** (1.0 / q) * base, **close)
         assert both(_scaled_mu(ker, c)) == pytest.approx(c ** (-1.0 / p) * base, **close)
-        assert both(ker.scaled(sign * c)) == pytest.approx(c * base, **close)
+        assert both(scaled(ker, sign * c)) == pytest.approx(c * base, **close)
         assert both(_renamed(ker)) == pytest.approx(base, **close)
         norm, criterion = base
         assert criterion >= norm * (1.0 - 1e-12)
@@ -994,7 +995,7 @@ class TestSandwichReport:
     def test_homogeneity(self):
         ker = random_instance(7, max_atoms=5, max_dim=3)
         rep1 = sandwich_report(ker, 4, 2, 100, seed=3)
-        rep2 = sandwich_report(ker.scaled(2.5), 4, 2, 100, seed=3)
+        rep2 = sandwich_report(scaled(ker, 2.5), 4, 2, 100, seed=3)
         assert rep2.lower.value == pytest.approx(2.5 * rep1.lower.value, rel=1e-12)
         assert rep2.upper.value == pytest.approx(2.5 * rep1.upper.value, rel=1e-12)
         assert rep2.oracle == pytest.approx(2.5 * rep1.oracle, rel=1e-12)

@@ -317,7 +317,7 @@ class TestRunVerb:
         assert main(["run", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == (
-            "mixedop: input error: kernels.P.matrices[1]: matrix at ('s1', 't2') "
+            "mixedop: input error: kernels.P: matrix at ('s1', 't2') "
             f"has entry {json.loads(entry)!r}, not a number\n"
         )
         assert not out.exists()
@@ -326,7 +326,9 @@ class TestRunVerb:
         data = _minimal_scenario()
         data["kernels"]["P"]["matrices"][0][2] = [True]  # one row given flat
         assert main(["run", _write(tmp_path, data)]) == 1
-        assert "matrices[0]: matrix at ('s1', 't1') has entry True, not a number" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "mixedop: input error: kernels.P: matrix at ('s1', 't1') has entry True, not a number\n"
+        )
 
     def test_bare_nan_exponent_is_a_load_error(self, tmp_path, capsys):
         text = json.dumps(_minimal_scenario()).replace("[[4, 2]]", "[[NaN, 2]]")
@@ -1082,7 +1084,7 @@ class TestLoaderMessages:
         (("kernels", "P", "matrices", 1, 2), [[2.0, 1.0]],
          "kernels.P: matrix at ('s1', 't2') has shape (1, 2), expected (1, 1)"),
         (("kernels", "P", "matrices", 0, 2), [[True]],
-         "kernels.P.matrices[0]: matrix at ('s1', 't1') has entry True, not a number"),
+         "kernels.P: matrix at ('s1', 't1') has entry True, not a number"),
         (("kernels", "P", "matrices"), [["s1", "t1", [[1.0]]], ["s1", "t2", [[2.0]]], ["s1", "t1", [[5.0]]]],
          "kernels.P.matrices[2]: duplicate matrix for pair ('s1', 't1')"),
         (("spaces", "T", "t1"), "inf", "spaces.T: atom 't1' has invalid weight inf"),
@@ -1114,9 +1116,9 @@ class TestLoaderMessages:
 
 
 class TestZeroWeightPairs:
-    """A relation drops its pairs of weight 0, and the loader drops their
-    matrices with them: such a file runs as if the pair and its matrix
-    were left out."""
+    """A relation drops its pairs of weight 0, and the kernel ignores their
+    matrices: such a file runs as if the pair and its matrix were left
+    out.  A pair listed twice is refused, whatever its weights."""
 
     @pytest.mark.parametrize("weight", [0.0, 0, -0.0])
     def test_matrix_of_a_dropped_pair_is_dropped_too(self, tmp_path, capsys, weight):
@@ -1131,13 +1133,13 @@ class TestZeroWeightPairs:
         assert capsys.readouterr().err == ""
         assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "omitted.csv").read_bytes()
 
-    def test_pair_also_listed_with_a_positive_weight_keeps_its_matrix(self, tmp_path, capsys):
+    def test_pair_also_listed_with_a_positive_weight_is_a_duplicate(self, tmp_path, capsys):
         data = json.loads((SCENARIOS / "scalar17.json").read_text())
         data["relations"]["lam"]["pairs"].insert(0, ["s1", "t1", 0.0])
         out = tmp_path / "out.csv"
-        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert out.read_bytes() == (BUNDLED_REFS / "scalar17.csv").read_bytes()
+        assert main(["run", _write(tmp_path, data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "mixedop: input error: relations.lam: duplicate (s, t) pairs\n"
+        assert not out.exists()
 
     def test_matrix_of_an_unlisted_pair_is_still_refused(self, tmp_path, capsys):
         data = json.loads((SCENARIOS / "scalar17.json").read_text())

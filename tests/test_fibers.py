@@ -25,7 +25,7 @@ from mixedop import (
 from mixedop.fibers import lp_measure_norm, ordered_sum, power_sums
 from mixedop.rng import substream
 
-from builders import scalar_family
+from builders import normalized, scalar_family
 from helpers import loop_sum, neumaier_sum, product_lq_norm, weighted_norm_reference
 
 EXPONENT_POOL = (1.0, 1.5, 2.0, 3.0, INF)
@@ -191,9 +191,9 @@ class TestDirectIntegralNorm:
         g = substream(7, 1)
         for trial in range(30):
             n = int(g.integers(2, 7))
-            base = FiniteMeasureSpace(
+            base = normalized(FiniteMeasureSpace(
                 {f"a{i}": float(w) for i, w in enumerate(g.uniform(0.2, 2.0, n))}
-            ).normalized()
+            ))
             fam = scalar_family(base)
             f = Section({a: [float(g.standard_normal())] for a in base.ids})
             ps = sorted(g.uniform(1.0, 6.0, 2))

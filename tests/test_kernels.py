@@ -63,6 +63,7 @@ from builders import (
     random_instance,
     random_kernel,
     scalar_family,
+    scaled,
 )
 from helpers import circle_max_oracle, svd_norm_oracle, vertex_norm_oracle
 from references import apply_weighted_composition
@@ -156,6 +157,12 @@ class TestKernelConstruction:
          ValueError, "matrix at ('s2', 't1') is not an array of numbers"),
         ({("s1", "t1"): [[1.0], [2.0]], ("s2", "t1"): [[{}]]},
          DimensionMismatchError, "matrix at ('s1', 't1') has shape (2, 1), expected (1, 1)"),
+        # numpy would read these as 1.0, 3.0 and 0.0
+        ({("s2", "t1"): [[True]]}, ValueError, "matrix at ('s2', 't1') has entry True, not a number"),
+        ({("s2", "t1"): [["3"]]}, ValueError, "matrix at ('s2', 't1') has entry '3', not a number"),
+        ({("s1", "t2"): np.array([[False, True]])}, ValueError, "matrix at ('s1', 't2') has entry False, not a number"),
+        ({("s2", "t2"): [[1.0, "inf"]], ("s1", "t2"): [[1.0, 2.0], [3.0, 4.0]]},
+         DimensionMismatchError, "matrix at ('s1', 't2') has shape (2, 2), expected (1, 2)"),
     ])
     def test_first_bad_pair_in_pair_order_names_the_error(self, mats, error, message):
         with pytest.raises(error) as raised:
@@ -168,6 +175,26 @@ class TestKernelConstruction:
         with pytest.raises(DimensionMismatchError) as raised:
             _two_shape_kernel({("s2", "t1"): [[10**400]], ("s1", "t2"): [[1.0]]})
         assert str(raised.value) == "matrix at ('s1', 't2') has shape (1, 1), expected (1, 2)"
+
+    def test_matrix_of_a_pair_dropped_for_weight_zero_is_ignored(self):
+        S = FiniteMeasureSpace({"s1": 1.0})
+        T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
+        rel = WeightedRelation(S, T, [("s1", "t1", 0.0), ("s1", "t2", 1.0)])
+        ker = OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[True]], ("s1", "t2"): [[2.0]]})
+        assert ker.pairs == (("s1", "t2"),)
+        assert ker.matrix("s1", "t2").tolist() == [[2.0]]
+        with pytest.raises(MissingPairError):
+            ker.matrix("s1", "t1")
+        # leaving it out is the same kernel
+        alone = OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t2"): [[2.0]]})
+        assert fiber_effectiveness(ker, "t2", 2) == fiber_effectiveness(alone, "t2", 2)
+
+    def test_matrix_of_a_pair_the_relation_never_listed_is_refused(self):
+        S = FiniteMeasureSpace({"s1": 1.0})
+        T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
+        rel = WeightedRelation(S, T, [("s1", "t1", 0.0)])
+        with pytest.raises(ValueError, match=re.escape("matrices given for pairs outside the relation: [('s1', 't2')]")):
+            OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[1.0]], ("s1", "t2"): [[2.0]]})
 
 
 class TestApplyMixed:
@@ -513,13 +540,21 @@ class TestFiberEffectiveness:
     def test_scaling_is_exact(self):
         ker = bundled_kernel("projection_gap")
         base = fiber_effectiveness(ker, "t1", 2).value
-        scaled = fiber_effectiveness(ker.scaled(3.0), "t1", 2).value
-        assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+        tripled = fiber_effectiveness(scaled(ker, 3.0), "t1", 2).value
+        assert tripled == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_infinite_q_rejected(self):
         ker = _scalar_pair_instance()
         with pytest.raises(UnsupportedExponentsError):
             fiber_effectiveness(ker, "t1", INF)
+
+    def test_objective_refuses_infinite_q_as_fiber_effectiveness_does(self):
+        # at q = inf it read 1 whatever the matrices: each x^q went to 0 or inf, then to the power 0
+        ker = bundled_kernel("scalar17")
+        assert effectiveness_objective(ker, "t2", 2)(np.ones((1, 1))).tolist() == [2.0]
+        for route in (fiber_effectiveness, effectiveness_objective):
+            with pytest.raises(UnsupportedExponentsError, match="^fiber effectiveness needs finite q$"):
+                route(ker, "t2", INF)
 
     def test_pointwise_aggregate_rejects_infinite_q(self):
         # max_s lam ||P|| is not its q -> inf limit, max_s ||P||

@@ -37,10 +37,6 @@ class TestFiniteMeasureSpace:
         with pytest.raises(ValueError):
             FiniteMeasureSpace({"a": -1.0})
 
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            FiniteMeasureSpace([("a", 1.0), ("a", 2.0)])
-
     def test_restrict_and_mass(self):
         sp = FiniteMeasureSpace({"a": 1.0, "b": 2.0})
         assert sp.total_mass == 3.0
@@ -70,8 +66,18 @@ class TestWeightedRelation:
     def test_duplicate_pair_rejected(self):
         S = FiniteMeasureSpace({"s1": 1.0})
         T = FiniteMeasureSpace({"t1": 1.0})
-        with pytest.raises(ValueError):
-            WeightedRelation(S, T, [("s1", "t1", 1.0), ("s1", "t1", 2.0)])
+        # whatever the weights: a copy of weight 0 is a duplicate too
+        for weights in [(1.0, 2.0), (0.0, 1.0), (1.0, 0.0), (0.0, -0.0)]:
+            with pytest.raises(ValueError, match=r"^duplicate \(s, t\) pairs$"):
+                WeightedRelation(S, T, [("s1", "t1", w) for w in weights])
+
+    def test_dropped_pairs_are_kept_by_name(self):
+        S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
+        T = FiniteMeasureSpace({"t1": 1.0, "t2": 1.0})
+        rel = WeightedRelation(S, T, [("s2", "t1", 0.0), ("s1", "t1", 1.0), ("s1", "t2", -0.0)])
+        assert rel.pairs == (("s1", "t1"),)
+        assert rel.dropped == (("s1", "t2"), ("s2", "t1"))
+        assert WeightedRelation(S, T, [("s1", "t1", 1.0)]).dropped == ()
 
     def test_unknown_atom_rejected(self):
         S = FiniteMeasureSpace({"s1": 1.0})
@@ -103,7 +109,7 @@ class TestWeightedRelation:
             ),
         ))
         if triples and data.draw(st.booleans()):
-            # a zero-weight copy of a kept pair is no duplicate: it is dropped first
+            # a zero-weight copy of a listed pair is a duplicate all the same
             s, t, _ = data.draw(st.sampled_from(triples))
             triples.append((s, t, 0.0))
         if data.draw(st.booleans()):
@@ -124,9 +130,10 @@ class TestWeightedRelation:
             with pytest.raises(ValueError, match="duplicate"):
                 WeightedRelation(S, T, triples)
             return
-        pairs, weights, fibers = ref
+        pairs, weights, fibers, dropped = ref
         rel = WeightedRelation(S, T, triples)
         assert rel.pairs == pairs
+        assert rel.dropped == dropped
         assert rel.weights.tolist() == weights
         assert rel.src.tolist() == [S.ids.index(s) for s, _ in pairs]
         assert rel.tgt.tolist() == [T.ids.index(t) for _, t in pairs]
@@ -158,14 +165,17 @@ def _reference_error(S, T, triples):
 
 
 def _reference_layout(T, triples):
-    """The relation as sorted (s, t, w) string tuples: its pairs, weights
-    and (s, w) fiber per target, or None for a duplicate pair."""
+    """The relation as sorted (s, t, w) string tuples: its pairs, weights,
+    (s, w) fiber per target and the pairs dropped for weight 0, or None
+    for a pair listed twice, whatever its weights."""
+    listed = [(s, t) for s, t, _ in triples]
+    if len(set(listed)) != len(listed):
+        return None
     cleaned = sorted((s, t, w) for s, t, w in triples if w != 0.0)
     pairs = tuple((s, t) for s, t, _ in cleaned)
-    if len(set(pairs)) != len(pairs):
-        return None
     fibers = {t: [(s, w) for s, x, w in cleaned if x == t] for t in T.ids}
-    return pairs, [w for _, _, w in cleaned], fibers
+    dropped = tuple(sorted((s, t) for s, t, w in triples if w == 0.0))
+    return pairs, [w for _, _, w in cleaned], fibers, dropped
 
 
 class TestAtomMap:

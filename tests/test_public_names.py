@@ -3,8 +3,11 @@ the tests.
 
 A name counts as used when it appears as a whole word in ``src/``
 (outside ``__init__.py`` and outside its own definition), in ``demos/``
-or in ``perfbench/``.  Builders and references that only the tests use
-belong in ``tests/builders.py`` and ``tests/references.py``.
+or in ``perfbench/``.  A public method or property of an exported class
+counts as used when it is read as an attribute, ``.name``, in those same
+places; a method named like a common one (``items``) passes on any such
+read.  Builders and references that only the tests use belong in
+``tests/builders.py`` and ``tests/references.py``.
 """
 
 import ast
@@ -29,6 +32,16 @@ def _public_names() -> set[str]:
     }
     return set(mixedop.__all__) | funcs
 
+
+def _public_methods() -> list[tuple[str, str]]:
+    """(class, name) for each public method and property that an exported
+    class defines itself."""
+    classes = [(name, getattr(mixedop, name)) for name in mixedop.__all__]
+    return sorted(
+        (name, attr) for name, cls in classes if inspect.isclass(cls)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))
+    )
 
 def _definition_spans(tree: ast.Module) -> dict[str, tuple[int, int]]:
     """The line span of each top-level def, class or assignment, by name."""
@@ -55,12 +68,18 @@ def _without_definition(text: str, spans: dict, name: str) -> str:
     return "\n".join(lines[: first - 1] + lines[last:])
 
 
-def _unreferenced(names: set[str]) -> list[str]:
+def _texts():
+    """The package modules but ``__init__.py``, and the demos and perfbench as one text."""
     texts = [p.read_text(encoding="utf-8") for p in (ROOT / "src" / "mixedop").glob("*.py") if p.name != "__init__.py"]
-    package = [(text, _definition_spans(ast.parse(text))) for text in texts]
     outside = "\n".join(
         p.read_text(encoding="utf-8") for d in ("demos", "perfbench") for p in (ROOT / d).rglob("*.py")
     )
+    return texts, outside
+
+
+def _unreferenced(names: set[str]) -> list[str]:
+    texts, outside = _texts()
+    package = [(text, _definition_spans(ast.parse(text))) for text in texts]
     return [
         name for name in sorted(names)
         if not re.search(rf"\b{re.escape(name)}\b", outside)
@@ -71,6 +90,12 @@ def _unreferenced(names: set[str]) -> list[str]:
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert _unreferenced(_public_names() - ALLOWED) == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    texts, outside = _texts()
+    text = "\n".join(texts + [outside])
+    assert [f"{cls}.{attr}" for cls, attr in _public_methods() if not re.search(rf"\.{attr}\b", text)] == []
 
 
 def test_allowed_names_are_public_and_still_without_a_caller():
