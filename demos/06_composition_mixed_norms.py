@@ -9,7 +9,7 @@
 
 from mixedop import (
     NotInjectiveError,
-    criterion_graph_result,
+    criterion_general_result,
     criterion_mixed_composition,
     criterion_uniform_bounds,
     direct_integral_instance,
@@ -30,7 +30,7 @@ for (p, q, alpha, beta) in [(2, 1, 1, 2), (3, 2, 2, 3), (2, 2, 2, 2)]:
     crit = criterion_mixed_composition(phi, p, q, alpha, beta).value
     inst, psi_used = direct_integral_instance(phi, alpha, beta)
     brute = exact_norm_decoupled(inst, p, q)
-    route = criterion_graph_result(inst, psi_used, p, q).value
+    route = criterion_general_result(inst, p, q).value
     print(f"(p,q,alpha,beta)=({p},{q},{alpha},{beta}): criterion={crit:.12f} "
           f"operator norm={brute.value:.12f} [{brute.certificate}] graph route={route:.12f}")
 

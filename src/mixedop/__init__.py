@@ -4,15 +4,14 @@ measure spaces.
 A section f over the target atoms is sent to (s, t) -> P(s, t) f(t) on
 a weighted relation; the package computes the exact operator norm of
 that map through a decoupling reduction, evaluates the boundedness
-criteria (general relation, graphs of injective maps, two-sided norm
-bounds, and mixed-norm composition operators), and cross-validates
-criteria against sampling and grid oracles.
+criteria (general relation, which covers the graphs of injective maps;
+two-sided norm bounds; mixed-norm composition operators), and
+cross-validates criteria against sampling and grid oracles.
 """
 
 from .boundedness import (
     BoundednessReport,
     criterion_general_result,
-    criterion_graph_result,
     criterion_uniform_bounds,
     exact_norm_decoupled,
     oracle_norm_sampling,
@@ -48,14 +47,12 @@ from .kernels import (
     LOWER_BOUND,
     NormResult,
     OperatorKernel,
-    apply_mixed,
     direction_grid_oracle,
     effectiveness_objective,
     fiber_effectiveness,
     kappa,
     matrix_norm_objective,
     matrix_operator_norm,
-    output_norm,
     pointwise_norm_aggregate,
 )
 from .measure import (

@@ -20,6 +20,7 @@ once, and the reported gap is meaningful otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,11 @@ import numpy as np
 from .errors import (
     HypothesisViolationError,
     NonFiniteResultError,
-    NotInjectiveError,
     SandwichViolationError,
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import ordered_sum, power_sums
+from .fibers import direct_integral_norms, ordered_sum, power_sums
 from .generators import random_partition_labels
 from .kernels import (
     EXACT,
@@ -112,23 +112,6 @@ def _require_graph(kernel: OperatorKernel, psi: AtomMap) -> None:
     graph = {(s, psi(s)) for s in rel.source.ids}
     if set(rel.pairs) != graph:
         raise HypothesisViolationError("the kernel's relation is not the graph of psi")
-
-
-def criterion_graph_result(kernel: OperatorKernel, psi: AtomMap, p, q) -> NormResult:
-    """Criterion on the graph of an injective mapping.
-
-    ||  ||P(psi^-1(t), t)|| J^(1/q)(t)  ||_{L^kappa(T)} with J the
-    marginal density of the graph measure: each fiber holds at most one
-    pair, so the general criterion's inner term lam ||P||^q / mu_t is
-    ||P||^q J(t), and atoms outside the image contribute zero.  With
-    identity data and p = q this recovers the classical
-    decomposable-operator condition (the ess-sup of the fiber norms).
-    """
-    exponent_pair(p, q)
-    if not psi.is_injective:
-        raise NotInjectiveError("graph criterion requires an injective mapping")
-    _require_graph(kernel, psi)
-    return criterion_general_result(kernel, p, q)
 
 
 def criterion_uniform_bounds(
@@ -283,6 +266,13 @@ def phi_audit_violation(kernel: OperatorKernel, p, q, partitions: int, seed: int
 # oracles
 # ---------------------------------------------------------------------------
 
+def _count(n, name: str) -> int:
+    """n if it is an integer >= 1; a bool or a float is refused, not rounded."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def oracle_norm_sampling(
     kernel: OperatorKernel, p, q, n_samples: int = 1000, seed: int = 0
 ) -> float:
@@ -298,38 +288,44 @@ def oracle_norm_sampling(
     only aggregates it, through the decoupled norm's ``_atom_norm``.
     """
     p, q, k = exponent_pair(p, q)
-    n = int(n_samples)
-    if n < 1:
-        raise ValueError("n_samples must be >= 1")
+    n = _count(n_samples, "n_samples")
     return _atom_norm(kernel.oracle_samples(q, seed, n), kernel, p, k, "oracle factor")
+
+
+def _section_norms(kernel: OperatorKernel, F, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(|| M_F f_j ||_q, || f_j ||_p) for n sections stacked by target
+    atom, F[i] an (n, dim W_t) array for t = T.ids[i]; exponents checked,
+    q finite.  The one evaluator of both norms: ||f||_p is the stacked
+    ``direct_integral_norms``, ||M f||_q the lambda-weighted
+    ``power_sums`` over the pairs of the V_s norms of f_t P(s, t)^T.  A
+    relation without pairs gives a 0-d zero ||M f||, which broadcasts
+    against n.
+    """
+    V = kernel.codomain_family
+    out = [
+        power_sums(F[i] @ kernel.matrix(s, t).T, V.norm(s).r, V.norm(s).weights)
+        for (s, t), i in zip(kernel.pairs, kernel.relation.tgt.tolist())
+    ]
+    mf = power_sums(np.array(out).T, q, kernel.relation.weights)
+    return mf, direct_integral_norms(F, kernel.domain_family, p)
 
 
 def section_ratios(
     kernel: OperatorKernel, p, q, n_sections: int = 200, seed: int = 0
 ) -> np.ndarray:
-    """||M_F f|| / ||f|| for seeded random sections f (no optimization).
+    """||M_F f|| / ||f|| for seeded random sections f (no optimization),
+    0 for a zero section.
 
     Feeds the sufficiency checks: every ratio must stay below the
-    criterion value.
+    criterion value, and below the decoupled norm where that is exact.
     """
     p, q, _ = exponent_pair(p, q)
-    n = int(n_sections)
-    if n < 1:
-        raise ValueError("n_sections must be >= 1")
+    n = _count(n_sections, "n_sections")
     T = kernel.relation.target
-    num = np.zeros(n)
-    den = np.zeros(n)
-    raws = {}
-    for i, t in enumerate(T.ids):
-        W = kernel.domain_family.norm(t)
-        raw = substream(seed, SECTION_TAG, i).standard_normal((n, W.dim))
-        raws[t] = raw
-        den += T.weight(t) * W.row_norms(raw) ** p
-    for (s, t), lam in zip(kernel.pairs, kernel.relation.weights.tolist()):
-        out = kernel.codomain_family.norm(s)
-        num += lam * out.row_norms(raws[t] @ kernel.matrix(s, t).T) ** q
-    den = np.where(den > 0, den, 1.0)
-    return num ** (1.0 / q) / den ** (1.0 / p)
+    W = kernel.domain_family
+    F = [substream(seed, SECTION_TAG, i).standard_normal((n, W.dim(t))) for i, t in enumerate(T.ids)]
+    mf, f = _section_norms(kernel, F, p, q)
+    return np.divide(mf, f, out=np.zeros(n), where=f > 0)
 
 
 # ---------------------------------------------------------------------------

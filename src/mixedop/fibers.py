@@ -199,9 +199,21 @@ class FiberFamily:
         return f"FiberFamily({len(dims)} fibers, dims {min(dims, default=0)}..{max(dims, default=0)})"
 
 
+def direct_integral_norms(blocks, fam: FiberFamily, p: float) -> np.ndarray:
+    """|| f_j || for n sections stacked by atom: blocks[i] holds their
+    values at the atom t = fam.base.ids[i] as an (n, dim W_t) array.
+
+    Per atom, the ``power_sums`` fiber norm of every row; across atoms,
+    their ``power_sums`` with mu (unweighted max for p = inf), as
+    ``lp_measure_norm`` aggregates.  An empty base gives a 0-d zero, which
+    broadcasts against n.  The exponent p must be checked.
+    """
+    fibers = [power_sums(B, fam.norm(t).r, fam.norm(t).weights) for t, B in zip(fam.base.ids, blocks)]
+    return power_sums(np.array(fibers).T, p, None if math.isinf(p) else fam.base.weights)
+
+
 def direct_integral_norm(f: Section, fam: FiberFamily, p) -> float:
     """|| f || = (sum_t mu_t ||f(t)||_t^p)^(1/p);  max over atoms for p = inf."""
     p = check_exponent(p)
     fam.validate_section(f)
-    vals = np.array([fiber_norm(f[i], fam.norm(i)) for i in fam.base.ids])
-    return lp_measure_norm(vals, fam.base.weights, p)
+    return direct_integral_norms([f[t][None] for t in fam.base.ids], fam, p).item()

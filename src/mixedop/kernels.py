@@ -1,9 +1,9 @@
 """Operator-valued kernels on weighted relations.
 
-Covers application of the mixed operator, induced matrix norms between
-weighted r-norm spaces, and the per-atom direction optimization
-("fiber effectiveness") that the decoupled operator norm is assembled
-from.
+Covers induced matrix norms between weighted r-norm spaces and the
+per-atom direction optimization ("fiber effectiveness") that the
+decoupled operator norm is assembled from; ``boundedness`` evaluates
+the mixed operator on sections.
 
 Induced r -> r' norms are NP-hard in general; outside the closed-form
 branches the optimizer returns an honest ``lower_bound`` certificate,
@@ -30,15 +30,7 @@ from .errors import (
     UnknownAtomError,
     UnsupportedExponentsError,
 )
-from .fibers import (
-    FiberFamily,
-    NormSpec,
-    Section,
-    check_exponent,
-    fiber_norm,
-    lp_measure_norm,
-    power_sums,
-)
+from .fibers import FiberFamily, NormSpec, check_exponent, power_sums
 from .measure import WeightedRelation
 from .rng import ORACLE_TAG, START_TAG, substream
 
@@ -507,22 +499,6 @@ def _non_number(value):
             if bad is not None:
                 return bad
     return None
-
-
-def apply_mixed(kernel: OperatorKernel, f: Section) -> dict[tuple[str, str], np.ndarray]:
-    """The mixed operator: value at (s, t) is P(s, t) applied to f(t)."""
-    kernel.domain_family.validate_section(f)
-    return {(s, t): kernel.matrix(s, t) @ f[t] for (s, t) in kernel.pairs}
-
-
-def output_norm(kernel: OperatorKernel, g: Mapping[tuple[str, str], np.ndarray], q) -> float:
-    """L^q(F, lambda) norm of a section over the relation, with V_s fiber norms."""
-    q = check_exponent(q)
-    vals = np.array(
-        [fiber_norm(np.asarray(g[(s, t)], dtype=float), kernel.codomain_family.norm(s))
-         for (s, t) in kernel.pairs]
-    )
-    return lp_measure_norm(vals, kernel.relation.weights, q)
 
 
 # ---------------------------------------------------------------------------

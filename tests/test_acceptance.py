@@ -15,7 +15,6 @@ from mixedop import (
     FiniteMeasureSpace,
     OperatorKernel,
     criterion_general_result,
-    criterion_graph_result,
     criterion_mixed_composition,
     criterion_uniform_bounds,
     direct_integral_instance,
@@ -177,13 +176,13 @@ def test_06_graph_criteria_match_exact_norm():
     for seed in range(50):
         ker, psi = random_graph_instance(seed, max_atoms=16, max_dim=3, injective=True)
         p, q = _pick_exponents(seed + 40_000)
-        crit = criterion_graph_result(ker, psi, p, q).value
+        crit = criterion_general_result(ker, p, q).value
         exact = exact_norm_decoupled(ker, p, q).value
         rel_err = abs(crit - exact) / max(exact, 1e-300)
         assert rel_err <= 1e-9, (seed, p, q, crit, exact)
         worst = max(worst, rel_err)
-    ker_id, psi_id = identity_instance(4, dim=2)
-    assert criterion_graph_result(ker_id, psi_id, 2, 2).value == 1.0
+    ker_id, _ = identity_instance(4, dim=2)
+    assert criterion_general_result(ker_id, 2, 2).value == 1.0
     assert exact_norm_decoupled(ker_id, 2, 2).value == 1.0
     _report("6 graph criteria", f"50 injective graph instances, worst gap {worst:.2e}; identity = 1")
 
@@ -253,9 +252,9 @@ def test_08_mixed_composition_criterion():
         phi = random_split_mapping(seed, max_outer=4, max_slice=4)
         for (p, q, alpha, beta) in MIXEDCOMP_GRID:
             crit = criterion_mixed_composition(phi, p, q, alpha, beta).value
-            inst, psi_used = direct_integral_instance(phi, alpha, beta)
+            inst, _ = direct_integral_instance(phi, alpha, beta)
             brute = exact_norm_decoupled(inst, p, q).value
-            route = criterion_graph_result(inst, psi_used, p, q).value
+            route = criterion_general_result(inst, p, q).value
             scale = max(crit, 1e-300)
             err_norm = abs(crit - brute) / scale
             err_route = abs(crit - route) / scale

@@ -18,14 +18,15 @@ from mixedop import (
     FiberFamily,
     FiniteMeasureSpace,
     HypothesisViolationError,
-    NotInjectiveError,
+    INF,
     OperatorKernel,
+    Section,
     UnknownAtomError,
     UnsupportedExponentsError,
     WeightedRelation,
     criterion_general_result,
-    criterion_graph_result,
     criterion_uniform_bounds,
+    direct_integral_norm,
     exact_norm_decoupled,
     fiber_effectiveness,
     graph_relation,
@@ -122,8 +123,8 @@ class TestCriterionUniformT:
 
 class TestCriterionGraph:
     def test_identity_recovers_decomposable_condition(self):
-        ker, psi = identity_instance(2)
-        assert criterion_graph_result(ker, psi, 2, 2).value == 1.0
+        ker, _ = identity_instance(2)
+        assert criterion_general_result(ker, 2, 2).value == 1.0
 
     def test_injective_swap(self):
         S = FiniteMeasureSpace({"s1": 1.0, "s2": 4.0})
@@ -133,20 +134,9 @@ class TestCriterionGraph:
         ker = OperatorKernel(
             rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
         )
-        assert criterion_graph_result(ker, psi, 2, 2).value == pytest.approx(2.0, rel=1e-15)
+        assert criterion_general_result(ker, 2, 2).value == pytest.approx(2.0, rel=1e-15)
         # sampling oracle corroborates (scalar fibers: oracle is exact)
         assert oracle_norm_sampling(ker, 2, 2, 16, seed=0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_non_injective_rejected(self):
-        S = FiniteMeasureSpace({"s1": 1.0, "s2": 1.0})
-        T = FiniteMeasureSpace({"t1": 1.0})
-        psi = AtomMap(S, T, {"s1": "t1", "s2": "t1"})
-        rel = graph_relation(psi)
-        ker = OperatorKernel(
-            rel, scalar_family(T), scalar_family(S), {p: [[1.0]] for p in rel.pairs}
-        )
-        with pytest.raises(NotInjectiveError):
-            criterion_graph_result(ker, psi, 2, 2)
 
 
 class TestCriterionUniformBounds:
@@ -237,13 +227,13 @@ def _rho_instance(seed):
 
 
 class TestFoldedCriteriaMatchTheirFormulas:
-    # the graph and t-uniform criteria return the general criterion; their
-    # own formulas agree with it up to rounding
+    # the general criterion on an injective graph and the t-uniform criterion
+    # agree with their own formulas up to rounding
     @pytest.mark.parametrize("seed", range(50))
     def test_graph(self, seed):
         ker, psi = random_graph_instance(seed, max_atoms=8, max_dim=3, injective=True)
         for p, q in FOLDED_PQ:
-            got = criterion_graph_result(ker, psi, p, q)
+            got = criterion_general_result(ker, p, q)
             ref, cert = _graph_reference(ker, psi, p, q)
             assert abs(got.value - ref) <= 1e-14 * ref
             assert got.certificate == cert
@@ -288,13 +278,12 @@ class TestNonFiniteCriteria:
     # the criteria share the decoupled norm's aggregate of value * mu_t^(-1/p),
     # so they raise only where the value itself is beyond the float range
     @pytest.mark.parametrize("pq", [(2, 1), (3, 2)])
-    @pytest.mark.parametrize("which", ["uniform_t", "uniform_bounds", "graph", "general"])
+    @pytest.mark.parametrize("which", ["uniform_t", "uniform_bounds", "general"])
     def test_overflow_raises(self, pq, which):
         ker, psi, rho = _huge_target_identity()
         value = {
             "uniform_t": lambda: criterion_uniform_t(ker, rho, *pq).value,
             "uniform_bounds": lambda: criterion_uniform_bounds(ker, psi, 1.0, 1.0, *pq).value,
-            "graph": lambda: criterion_graph_result(ker, psi, *pq).value,
             "general": lambda: criterion_general_result(ker, *pq).value,
         }[which]()
         expected = {(2, 1): 1.7320508075688772e-154, (3, 2): 2.5873402367724796e-103}[pq]
@@ -943,6 +932,63 @@ class TestSufficiency:
                 crit = criterion_general_result(ker, p, q).value
                 ratios = section_ratios(ker, p, q, 200, seed=seed + 1000)
                 assert float(np.max(ratios)) <= crit + 1e-9 * max(crit, 1.0)
+
+    @pytest.mark.parametrize("build", [random_scalar_instance, random_instance])
+    def test_random_sections_below_exact_decoupled_norm(self, build):
+        # the decoupling checked through M f itself: no section beats an exact norm
+        exact = 0
+        for seed in range(100):
+            ker = build(seed)
+            for p, q in [(4, 2), (2, 2), (3, 1.5), (2, 1)]:
+                norm = exact_norm_decoupled(ker, p, q)
+                if norm.certificate == EXACT:
+                    exact += 1
+                    assert float(np.max(section_ratios(ker, p, q, 200, seed=seed))) <= norm.value * (1 + 1e-12)
+        assert exact >= 20
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [2000, 1e6])
+    def test_large_exponents_give_true_ratios(self, p):
+        # sum_t mu_t ||f_t||^p overflows for such p; the max-factored sums do not
+        ker = bundled_kernel("scalar17")
+        crit = criterion_general_result(ker, p, 2).value
+        ratios = section_ratios(ker, p, 2, 200, seed=1)
+        assert ratios.min() > 0.0
+        assert ratios.max() <= crit * (1 + 1e-9)
+
+    def test_zero_sections_give_zero(self):
+        # over an empty target space every section is zero, and so is its ratio
+        S = FiniteMeasureSpace({"s1": 1.0})
+        T = FiniteMeasureSpace({})
+        ker = OperatorKernel(WeightedRelation(S, T, []), scalar_family(T), scalar_family(S), {})
+        assert section_ratios(ker, 2, 2, 3).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestSectionNorms:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_stacked_norm_is_direct_integral_norm_bit_for_bit(self, seed):
+        # each row of a stack of sections is normed exactly as the section alone
+        ker = random_instance(seed)
+        W = ker.domain_family
+        g = substream(seed, 70)
+        sections = [Section({t: g.standard_normal(W.dim(t)) for t in W.base.ids}) for _ in range(5)]
+        F = [np.array([f[t] for f in sections]) for t in W.base.ids]
+        for p in (1, 1.5, 2, 3, 7, INF):
+            _, norms = boundedness._section_norms(ker, F, p, 1.0)
+            assert norms.tolist() == [direct_integral_norm(f, W, p) for f in sections]
+
+    @pytest.mark.parametrize("count", [True, 2.7, 2.0, "3", 0])
+    def test_sample_counts_are_integers(self, count):
+        ker = bundled_kernel("scalar17")
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            oracle_norm_sampling(ker, 4, 2, count)
+        with pytest.raises(ValueError, match="n_sections must be an integer >= 1"):
+            section_ratios(ker, 4, 2, count)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        ker = bundled_kernel("scalar17")
+        assert oracle_norm_sampling(ker, 4, 2, np.int64(3)) == oracle_norm_sampling(ker, 4, 2, 3)
+        assert section_ratios(ker, 4, 2, np.int32(2)).tolist() == section_ratios(ker, 4, 2, 2).tolist()
 
 
 class TestSandwichReport:

@@ -24,7 +24,7 @@ from mixedop import (
     UnknownAtomError,
     UnsupportedExponentsError,
     WeightedRelation,
-    apply_mixed,
+    direct_integral_norm,
     direction_grid_oracle,
     effectiveness_objective,
     fiber_effectiveness,
@@ -32,10 +32,9 @@ from mixedop import (
     kappa,
     matrix_norm_objective,
     matrix_operator_norm,
-    output_norm,
     pointwise_norm_aggregate,
 )
-from mixedop.boundedness import criterion_general_result
+from mixedop.boundedness import _section_norms, criterion_general_result
 from mixedop.kernels import exponent_pair
 from mixedop.generators import random_measure_space
 from mixedop.fibers import lp_measure_norm, power_sums
@@ -197,32 +196,52 @@ class TestKernelConstruction:
             OperatorKernel(rel, scalar_family(T), scalar_family(S), {("s1", "t1"): [[1.0]], ("s1", "t2"): [[2.0]]})
 
 
+def _stack(ker, *sections):
+    """Sections stacked by target atom, as ``_section_norms`` reads them."""
+    return [np.array([f[t] for f in sections]) for t in ker.relation.target.ids]
+
+
 class TestApplyMixed:
+    # the mixed operator (s, t) -> P(s, t) f(t), normed by its one evaluator
     def test_identity_kernel(self):
+        # identity matrices on the identity graph with unit data: ||M f||_q = ||f||_q
         ker, _ = identity_instance(3, dim=2)
         f = Section({t: [1.0, float(i)] for i, t in enumerate(ker.relation.target.ids)})
-        out = apply_mixed(ker, f)
-        for (s, t) in ker.pairs:
-            assert np.array_equal(out[(s, t)], f[t])
+        for q in (1, 1.5, 2, 3, 7):
+            mf, norm = _section_norms(ker, _stack(ker, f), q, q)
+            assert mf.tolist() == norm.tolist() == [direct_integral_norm(f, ker.domain_family, q)]
 
     def test_zero_section(self):
         ker = _scalar_pair_instance()
         f = Section({"t1": [0.0], "t2": [0.0]})
-        out = apply_mixed(ker, f)
-        assert all(np.all(v == 0.0) for v in out.values())
+        mf, norm = _section_norms(ker, _stack(ker, f), 2, 2)
+        assert mf.tolist() == norm.tolist() == [0.0]
 
     def test_scalar_values(self):
+        # M f = (1 * 3, 2 * 5) on the pairs (s1, t1), (s1, t2) of weight 1;
+        # a second section, 2 f, is stacked in the same call
         ker = _scalar_pair_instance()
         f = Section({"t1": [3.0], "t2": [5.0]})
-        out = apply_mixed(ker, f)
-        assert out[("s1", "t1")][0] == 3.0
-        assert out[("s1", "t2")][0] == 10.0
+        g = Section({"t1": [6.0], "t2": [10.0]})
+        mf, norm = _section_norms(ker, _stack(ker, f, g), 1, 1)
+        assert mf.tolist() == [13.0, 26.0]
+        assert norm.tolist() == [8.0, 16.0]
 
     def test_output_norm(self):
         ker = _scalar_pair_instance()
         f = Section({"t1": [3.0], "t2": [5.0]})
-        out = apply_mixed(ker, f)
-        assert output_norm(ker, out, 2) == pytest.approx(math.sqrt(9.0 + 100.0), rel=1e-15)
+        mf, norm = _section_norms(ker, _stack(ker, f), 2, 2)
+        assert mf[0] == pytest.approx(math.sqrt(9.0 + 100.0), rel=1e-15)
+        assert norm[0] == pytest.approx(math.sqrt(9.0 + 25.0), rel=1e-15)
+
+    def test_relation_without_pairs(self):
+        # every listed pair has weight 0: M f = 0 for each of the n sections
+        S = FiniteMeasureSpace({"s1": 1.0})
+        T = FiniteMeasureSpace({"t1": 1.0})
+        ker = OperatorKernel(WeightedRelation(S, T, [("s1", "t1", 0.0)]), scalar_family(T), scalar_family(S), {})
+        mf, norm = _section_norms(ker, [np.array([[3.0], [0.0]])], 2, 2)
+        assert np.broadcast_to(mf, 2).tolist() == [0.0, 0.0]
+        assert norm.tolist() == [3.0, 0.0]
 
 
 class TestApplyWeightedComposition:
@@ -261,7 +280,8 @@ class TestApplyWeightedComposition:
             apply_weighted_composition(small, psi, f)
 
     def test_agrees_with_graph_route(self):
-        # M_psi f(s) equals the mixed operator on the graph at (s, psi(s))
+        # M_psi f(s) is the mixed operator on the graph at (s, psi(s)), and the
+        # graph carries nu: ||M_psi f||_{L^q(nu)} = ||M f||_q
         for seed in range(10):
             S = random_measure_space("s", 5, seed)
             T = random_measure_space("t", 6, seed + 10)
@@ -273,9 +293,10 @@ class TestApplyWeightedComposition:
             g = substream(seed, 60)
             f = Section({t: g.standard_normal(W.dim(t)) for t in T.ids})
             direct = apply_weighted_composition(ker, psi, f)
-            mixed = apply_mixed(ker, f)
-            for s in S.ids:
-                assert np.array_equal(direct[s], mixed[(s, psi(s))])
+            for q in (1, 1.5, 2, 3):
+                want = direct_integral_norm(direct, V, q)
+                mf, _ = _section_norms(ker, _stack(ker, f), q, q)
+                assert abs(mf[0] - want) <= 1e-14 * want
 
 
 def _unit(dim):

@@ -20,10 +20,6 @@ from mixedop import generators
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# public names with test callers only, kept on purpose: ROADMAP item 3
-# (witness sections) evaluates M f through them
-ALLOWED = {"apply_mixed", "output_norm"}
-
 
 def _public_names() -> set[str]:
     funcs = {
@@ -89,16 +85,10 @@ def _unreferenced(names: set[str]) -> list[str]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert _unreferenced(_public_names() - ALLOWED) == []
+    assert _unreferenced(_public_names()) == []
 
 
 def test_every_public_method_has_a_caller_outside_the_tests():
     texts, outside = _texts()
     text = "\n".join(texts + [outside])
     assert [f"{cls}.{attr}" for cls, attr in _public_methods() if not re.search(rf"\.{attr}\b", text)] == []
-
-
-def test_allowed_names_are_public_and_still_without_a_caller():
-    # once a name gains a caller, it leaves the allowlist
-    assert ALLOWED <= _public_names()
-    assert _unreferenced(ALLOWED) == sorted(ALLOWED)
